@@ -1,16 +1,19 @@
 """Benchmark harness: multi-trial factorization runs with shared data.
 
-An experiment is a grid of (size, dataset, initial point) cells.  Every
-algorithm variant in a cell consumes the identical data matrix and starting
-factors (asserted by hashing); seeds derive deterministically from the
-master seed and the cell coordinates.  Each run writes one trace CSV; the
-experiment writes a manifest, a summary JSON, and per-size plot-data CSVs
-(mean objective against iteration, and against wall time on a fixed grid
-with last-observation-carried-forward alignment).
+An experiment is a grid of (size, dataset, initial point) cells.  Each
+cell's data matrix and starting factors are built once and every algorithm
+variant of the cell runs on them (asserted by hashing); seeds derive
+deterministically from the master seed and the cell coordinates.  Each run
+writes one trace CSV; the experiment writes a manifest, a summary JSON, and
+per-size plot-data CSVs (mean objective against iteration, and against wall
+time on a fixed grid with last-observation-carried-forward alignment).
 
-With a fixed master seed and iteration budget the summary JSON and the
-iteration-series CSVs are byte-identical across invocations; wall-time
-columns are machine-dependent by nature.
+With a fixed master seed, iteration budget and BLAS thread count the
+summary JSON and the iteration-series CSVs are byte-identical across
+invocations and ``jobs`` values.  A different BLAS thread count can change
+the last digits: one 2000-iteration cell ends at 1124.963250372305 with one
+thread and at 1124.9632503723071 with two.  Wall-time columns are
+machine-dependent by nature.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import json
 import os
 import statistics
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,7 +42,7 @@ from .logmf import (
     model_objective_metric,
 )
 from .rng import derive_seed
-from .solver import SolverConfig, read_trace_csv, run, write_trace_csv
+from .solver import SolverConfig, read_trace_csv, run, validate_config, write_trace_csv
 
 _SEED_DATA = 0
 _SEED_INIT = 1
@@ -139,7 +144,6 @@ class ExperimentConfig:
             max_iters=self.budget_iters,
             max_seconds=self.budget_seconds,
             tolerance=self.tolerance,
-            seed=self.master_seed,
             check_level=self.check_level,
             enforce_gate=self.enforce_gate,
         )
@@ -240,20 +244,25 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _inputs_sha256(y: np.ndarray, u0: np.ndarray, v0: np.ndarray) -> str:
+def _inputs_sha256(inputs: tuple) -> str:
+    inst, u0, v0 = inputs
     h = hashlib.sha256()
-    for arr in (y, u0, v0):
+    for arr in (inst.y, u0, v0):
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
     return h.hexdigest()
 
 
-def _cell_inputs(cfg: ExperimentConfig, size_idx: int, dataset: int, init: int):
+def _cell_inputs(cfg: ExperimentConfig, size_idx: int, dataset: int, init: int) -> tuple:
+    """The cell's (instance, U0, V0), built once and shared by its runs."""
     m, n = cfg.sizes[size_idx]
     data_seed = derive_seed(cfg.master_seed, _SEED_DATA, size_idx, dataset)
     init_seed = derive_seed(cfg.master_seed, _SEED_INIT, size_idx, dataset, init)
-    y = generate_matrix(m, n, cfg.density, data_seed)
+    inst = LogMfInstance(
+        y=generate_matrix(m, n, cfg.density, data_seed), rank=cfg.rank, c=cfg.c,
+        lam_row=cfg.lambda_row, lam_col=cfg.lambda_col, beta=cfg.beta,
+    )
     u0, v0 = initial_factors(m, n, cfg.rank, init_seed)
-    return y, u0, v0
+    return inst, u0, v0
 
 
 def _trace_name(size, dataset, init, label) -> str:
@@ -262,15 +271,16 @@ def _trace_name(size, dataset, init, label) -> str:
     return f"trace_{m}x{n}_d{dataset}_i{init}_{safe}.csv"
 
 
-def _run_one(cfg: ExperimentConfig, size_idx: int, dataset: int, init: int,
-             label: str, out_dir: Path) -> dict:
-    """Execute one (cell, algorithm) run and write its trace; returns metadata."""
+def _run_one(cfg: ExperimentConfig, cell: tuple, inputs: tuple, label: str,
+             out_dir: Path) -> dict:
+    """Execute one (cell, algorithm) run and write its trace; returns metadata.
+
+    ``inputs`` is the cell's shared (instance, U0, V0); their hash is taken
+    just before the run starts.
+    """
+    size_idx, dataset, init = cell
     m, n = cfg.sizes[size_idx]
-    y, u0, v0 = _cell_inputs(cfg, size_idx, dataset, init)
-    inst = LogMfInstance(
-        y=y, rank=cfg.rank, c=cfg.c, lam_row=cfg.lambda_row,
-        lam_col=cfg.lambda_col, beta=cfg.beta,
-    )
+    inst, u0, v0 = inputs
     meta = {
         "file": _trace_name((m, n), dataset, init, label),
         "algorithm": label,
@@ -279,7 +289,7 @@ def _run_one(cfg: ExperimentConfig, size_idx: int, dataset: int, init: int,
         "rank": cfg.rank,
         "dataset": dataset,
         "init": init,
-        "input_sha256": _inputs_sha256(y, u0, v0),
+        "input_sha256": _inputs_sha256(inputs),
     }
     if label == "gd":
         u_fin, v_fin, trace = gd_run(
@@ -326,57 +336,54 @@ def _run_one(cfg: ExperimentConfig, size_idx: int, dataset: int, init: int,
     return meta
 
 
+def _run_cell(cfg: ExperimentConfig, cell: tuple, labels: Sequence[str], out_dir: Path,
+              pool) -> list[dict]:
+    """Build one cell's inputs once and run every algorithm on them.
+
+    Raises RuntimeError when the runs saw different inputs, including when
+    a run wrote into the shared arrays.
+    """
+    inputs = _cell_inputs(cfg, *cell)
+
+    def one(label: str) -> dict:
+        return _run_one(cfg, cell, inputs, label, out_dir)
+
+    runs = list(map(one, labels) if pool is None else pool.map(one, labels))
+    hashes = {meta["input_sha256"] for meta in runs} | {_inputs_sha256(inputs)}
+    if len(hashes) != 1:
+        raise RuntimeError(f"variants saw different inputs in cell {cell}")
+    return runs
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     """Run the full grid, write traces + manifest + summary + plot data.
 
     Every variant is validated before any run starts; a validation error
-    aborts the whole experiment.  ``jobs`` > 1 runs independent (cell,
-    algorithm) pairs on a thread pool; every run builds a private problem
-    instance, so oracle thread-safety is by construction, and the manifest
-    order (hence all outputs) is independent of scheduling.  Returns the
-    summary document.
+    aborts the whole experiment.  Cells run one at a time, each on inputs
+    built once; ``jobs`` > 1 runs a cell's algorithms on a thread pool.
+    Every run builds a private problem instance, and the manifest order
+    (hence all outputs) is independent of scheduling.  Returns the summary
+    document.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # validate all variants up front against a minimal instance
+    probe = make_problem(LogMfInstance(
+        y=np.zeros((2, 2)), rank=1, c=cfg.c, lam_row=cfg.lambda_row,
+        lam_col=cfg.lambda_col, beta=cfg.beta,
+    ))
     for variant in cfg.variants:
-        probe = LogMfInstance(
-            y=np.zeros((2, 2)), rank=1, c=cfg.c, lam_row=cfg.lambda_row,
-            lam_col=cfg.lambda_col, beta=cfg.beta,
-        )
-        from .solver import validate_config
-
-        validate_config(cfg.solver_config(variant), make_problem(probe))
+        validate_config(cfg.solver_config(variant), probe)
 
     labels = [v.label for v in cfg.variants] + (["gd"] if cfg.include_gd else [])
-    tasks = [
-        (size_idx, dataset, init, label)
+    cells = [
+        (size_idx, dataset, init)
         for size_idx in range(len(cfg.sizes))
         for dataset in range(cfg.datasets_per_size)
         for init in range(cfg.inits_per_dataset)
-        for label in labels
     ]
-    results: dict[tuple, dict] = {}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                key: pool.submit(_run_one, cfg, *key, out) for key in tasks
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
-    else:
-        for key in tasks:
-            results[key] = _run_one(cfg, *key, out)
-
-    runs = [results[key] for key in tasks]
-    by_cell: dict[tuple, set] = {}
-    for (size_idx, dataset, init, _), meta in zip(tasks, runs):
-        by_cell.setdefault((size_idx, dataset, init), set()).add(meta["input_sha256"])
-    for cell, hashes in by_cell.items():
-        if len(hashes) != 1:
-            raise RuntimeError(f"variants saw different inputs in cell {cell}")
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        runs = [meta for cell in cells for meta in _run_cell(cfg, cell, labels, out, pool)]
 
     manifest = {"config": cfg.echo(), "runs": runs}
     _atomic_write_text(
@@ -412,13 +419,10 @@ def summarize(trace_dir) -> tuple[dict, dict]:
         key = (meta["algorithm"], meta["m"], meta["n"])
         by_group.setdefault(key, []).append(meta)
 
-    def final_objective(rows: Sequence[dict]) -> float:
-        last = rows[-1]
-        return last.get("model_objective", last["objective"])
-
     summary_rows = []
     for (algorithm, m, n) in sorted(by_group):
-        finals = [final_objective(traces[meta["file"]]) for meta in by_group[(algorithm, m, n)]]
+        finals = [_row_objective(traces[meta["file"]][-1])
+                  for meta in by_group[(algorithm, m, n)]]
         mean = statistics.fmean(finals)
         std = statistics.stdev(finals) if len(finals) > 1 else 0.0
         summary_rows.append(
@@ -450,6 +454,11 @@ def summarize(trace_dir) -> tuple[dict, dict]:
     return summary, plot_paths
 
 
+def _row_objective(row: dict) -> float:
+    """The trace row's model_objective, falling back to its objective."""
+    return row.get("model_objective", row["objective"])
+
+
 def _write_plot_data(out: Path, size, runs, traces, horizon_cfg=None) -> dict:
     m, n = size
     algos = sorted({meta["algorithm"] for meta in runs if (meta["m"], meta["n"]) == size})
@@ -462,16 +471,13 @@ def _write_plot_data(out: Path, size, runs, traces, horizon_cfg=None) -> dict:
         for algo in algos
     }
 
-    def obj(row: dict) -> float:
-        return row.get("model_objective", row["objective"])
-
     # mean objective per iteration index (over the trials that reached it)
     max_k = max(len(rows) for all_rows in series.values() for rows in all_rows)
     iter_lines = ["k," + ",".join(algos)]
     for k in range(max_k):
         vals = []
         for algo in algos:
-            per_trial = [obj(rows[min(k, len(rows) - 1)]) for rows in series[algo]]
+            per_trial = [_row_objective(rows[min(k, len(rows) - 1)]) for rows in series[algo]]
             vals.append(statistics.fmean(per_trial))
         iter_lines.append(",".join([str(k)] + [format(v, ".17g") for v in vals]))
     iters_path = out / f"plot_iters_{m}x{n}.csv"
@@ -496,7 +502,7 @@ def _write_plot_data(out: Path, size, runs, traces, horizon_cfg=None) -> dict:
                         idx = j
                     else:
                         break
-                per_trial.append(obj(rows[idx]))
+                per_trial.append(_row_objective(rows[idx]))
             vals.append(statistics.fmean(per_trial))
         time_lines.append(",".join([format(t, ".17g")] + [format(v, ".17g") for v in vals]))
     time_path = out / f"plot_time_{m}x{n}.csv"

@@ -77,19 +77,6 @@ class BlockVector:
     def copy(self) -> "BlockVector":
         return BlockVector([b.copy() for b in self.blocks])
 
-    def replace(self, i: int, value: Array) -> "BlockVector":
-        blocks = list(self.blocks)
-        blocks[i] = value
-        return BlockVector(blocks)
-
-
-@dataclass
-class DualState:
-    """Multiplier and splitting variable (omega, y)."""
-
-    omega: Array
-    y: Array
-
 
 class LinearMap:
     """Linear operator B from y-space into the constraint space.
@@ -230,10 +217,9 @@ class ProblemSpec:
         f_i(u) + <h(u, rest), dual_vec> + beta/2 ||h(u, rest)||^2
               + <lin, u> + weight/2 ||u - anchor||^2.
 
-    All oracles must be deterministic functions of their arguments.  They
-    are called concurrently from independent runs unless ``thread_safe``
-    is False, in which case the experiment runner serializes runs sharing
-    this problem object.
+    All oracles must be deterministic functions of their arguments.  The
+    experiment runner builds one ProblemSpec per run; with ``jobs > 1`` the
+    oracles of different runs execute concurrently on pool threads.
     """
 
     block_shapes: tuple[tuple[int, ...], ...]
@@ -252,7 +238,6 @@ class ProblemSpec:
     coupled_prox: Optional[Callable] = None
     block_traits: Optional[Callable[[int], BlockTraits]] = None
     objective_lower_bound: Optional[float] = None
-    thread_safe: bool = True
 
     def __post_init__(self):
         self.block_shapes = tuple(tuple(s) for s in self.block_shapes)
@@ -348,22 +333,27 @@ class Residuals:
         return max(self.stat_x_max, self.stat_y, self.feas)
 
 
+def y_stationarity(p: ProblemSpec, grad_y: Array, omega: Array) -> float:
+    """||grad G(y) + B^T omega||, the y part of the stationarity residuals."""
+    return norm(grad_y + p.lin_map.apply_t(omega))
+
+
 def stationarity_residuals(
     p: ProblemSpec,
     x: BlockVector,
-    y: Array,
     omega: Array,
     chi: Sequence[Array],
+    grad_y: Array,
+    residual: Array,
 ) -> Residuals:
     """Per-block dual residuals, y residual, and feasibility gap.
 
     ``chi[i]`` must be a subgradient of f_i at x_i, typically recovered
     from the proximal-map identity weight * (center - prox) at the last
     accepted update.  The smooth term's block gradient, when declared, is
-    added here at the current point.
+    added here at the current point.  ``grad_y`` is the gradient of G at y
+    and ``residual`` is h(x) + B y, both at the same point.
     """
-    p.check_x(x)
-    p.check_omega(np.asarray(omega))
     if len(chi) != p.s:
         raise DimensionError("need one subgradient element per block")
     stat_x = []
@@ -372,6 +362,6 @@ def stationarity_residuals(
         if p.smooth_grad_block is not None:
             g = g + p.smooth_grad_block(i, x.blocks)
         stat_x.append(norm(g))
-    stat_y = norm(p.y_grad(y) + p.lin_map.apply_t(omega))
-    feas = norm(constraint_residual(p, x, y))
-    return Residuals(stat_x=tuple(stat_x), stat_y=stat_y, feas=feas)
+    return Residuals(
+        stat_x=tuple(stat_x), stat_y=y_stationarity(p, grad_y, omega), feas=norm(residual)
+    )

@@ -133,11 +133,11 @@ def logistic_loss_lipschitz(y: Array, c: float) -> float:
 
 
 def objective(
-    u: Array, v: Array, y: Array, c: float, lam_row: float, lam_col: float
+    u: Array, v: Array, uv: Array, y: Array, c: float, lam_row: float, lam_col: float
 ) -> float:
-    """Factor-space objective: logistic loss at UV plus Frobenius penalties."""
+    """Factor-space objective: logistic loss at ``uv`` = U V plus Frobenius penalties."""
     return (
-        logistic_loss(u @ v, y, c)
+        logistic_loss(uv, y, c)
         + 0.5 * lam_row * float(np.sum(u * u))
         + 0.5 * lam_col * float(np.sum(v * v))
     )
@@ -230,11 +230,7 @@ def gd_run(
 
     def record(k: int) -> TraceRecord:
         uv = u @ v
-        obj = (
-            logistic_loss(uv, y, c)
-            + 0.5 * inst.lam_row * float(np.sum(u * u))
-            + 0.5 * inst.lam_col * float(np.sum(v * v))
-        )
+        obj = objective(u, v, uv, y, c, inst.lam_row, inst.lam_col)
         g = logistic_loss_grad(uv, y, c)
         gu = float(np.linalg.norm(g @ v.T + inst.lam_row * u))
         gv = float(np.linalg.norm(u.T @ g + inst.lam_col * v))
@@ -314,16 +310,13 @@ def make_problem(inst: LogMfInstance) -> ProblemSpec:
 def model_objective_metric(inst: LogMfInstance):
     """Trace metric: factor-space objective at the current iterate.
 
-    Reuses the cached factor product when the engine provides one.
+    Reads the factor product from the engine's ``coupling_cur``.
     """
 
     def metric(state: IterateState) -> float:
-        u, v = state.x[0], state.x[1]
-        uv = state.coupling_cur if state.coupling_cur is not None else u @ v
-        return (
-            logistic_loss(uv, inst.y, inst.c)
-            + 0.5 * inst.lam_row * float(np.sum(u * u))
-            + 0.5 * inst.lam_col * float(np.sum(v * v))
+        return objective(
+            state.x[0], state.x[1], state.coupling_cur, inst.y, inst.c,
+            inst.lam_row, inst.lam_col,
         )
 
     return metric

@@ -39,13 +39,15 @@ from .core import (
     BlockTraits,
     BlockVector,
     ConfigError,
-    DualState,
     InvariantViolation,
     ProblemSpec,
+    Residuals,
     augmented_lagrangian,
     norm,
     objective_value,
+    stationarity_residuals,
     vdot,
+    y_stationarity,
 )
 
 TRACE_COLUMNS = (
@@ -148,13 +150,11 @@ class SolverConfig:
     max_iters: Optional[int] = 1000
     max_seconds: Optional[float] = None
     tolerance: float = 0.0
-    seed: int = 0
     check_level: str = CheckLevel.CHEAP
     enforce_gate: bool = True
 
     def resolved(self, s: int) -> "ResolvedConfig":
         return ResolvedConfig(
-            base=self,
             nu=_per_block(self.nu, s, float),
             kappa_rule=_per_block(self.kappa_rule, s, KappaRule),
             update_rule=_per_block(self.update_rule, s, UpdateRule),
@@ -165,7 +165,6 @@ class SolverConfig:
 
 @dataclass
 class ResolvedConfig:
-    base: SolverConfig
     nu: tuple[float, ...]
     kappa_rule: tuple[KappaRule, ...]
     update_rule: tuple[UpdateRule, ...]
@@ -373,10 +372,10 @@ class IterateState:
     """Current and previous iterates plus per-block bookkeeping.
 
     ``lip``/``kappa``/``alpha``/``gamma``/``eta`` hold the values used by
-    the most recently completed iteration (the one that produced ``x``);
-    the ``*_prev`` copies hold the iteration before.  ``chi`` stores the
+    the most recently completed iteration (the one that produced ``x``).
+    ``chi`` stores the
     separable subgradients recovered from the proximal identities.
-    ``coupling_cur`` caches h(x) at the current iterate for metric hooks.
+    ``coupling_cur`` holds h(x) at the current iterate for metric hooks.
     """
 
     x: BlockVector
@@ -388,9 +387,7 @@ class IterateState:
     k: int = 0
     t_prev: float = 1.0
     lip: list = field(default_factory=list)
-    lip_prev: list = field(default_factory=list)
     kappa: list = field(default_factory=list)
-    kappa_prev: list = field(default_factory=list)
     alpha: list = field(default_factory=list)
     gamma: list = field(default_factory=list)
     eta: list = field(default_factory=list)
@@ -437,26 +434,26 @@ class RunResult:
     eta_min: tuple[float, ...]
     eta_max: tuple[float, ...]
 
-    @property
-    def dual(self) -> DualState:
-        return DualState(omega=self.omega, y=self.y)
-
 
 def lyapunov_value(
-    p: ProblemSpec, cfg: SolverConfig, consts: DerivedConstants, state: IterateState
+    p: ProblemSpec,
+    cfg: SolverConfig,
+    consts: DerivedConstants,
+    state: IterateState,
+    al: float,
 ) -> float:
     """Compound descent quantity tracked across iterations.
 
-    Augmented Lagrangian at the current iterate, minus the multiplier-norm
-    correction (1 - tau1) / (2 tau2 beta) ||omega||^2, plus the carry-over
-    terms b1 * eta_i ||dx_i||^2, c1 ||B^T domega||^2 and b2 c3 ||dy||^2.
-    Defined only once a full iteration has run (k >= 1).
+    ``al`` is the augmented Lagrangian at the current iterate; the value
+    subtracts the multiplier-norm correction (1 - tau1) / (2 tau2 beta)
+    ||omega||^2 and adds the carry-over terms b1 * eta_i ||dx_i||^2,
+    c1 ||B^T domega||^2 and b2 c3 ||dy||^2.  Defined only once a full
+    iteration has run (k >= 1).
     """
     if state.k < 1:
         raise ConfigError("compound descent value is undefined before the first iteration")
     beta, tau1, tau2 = cfg.beta, cfg.tau1, cfg.tau2
-    value = augmented_lagrangian(p, state.x, state.y, state.omega, beta)
-    value -= (1.0 - tau1) / (2.0 * tau2 * beta) * vdot(state.omega, state.omega)
+    value = al - (1.0 - tau1) / (2.0 * tau2 * beta) * vdot(state.omega, state.omega)
     for i in range(p.s):
         dxi = state.x[i] - state.x_prev[i]
         value += cfg.b1 * state.eta[i] * vdot(dxi, dxi)
@@ -498,29 +495,39 @@ def update_block(
     certified by the proximal identity (or, for the exact-penalty rule, by
     the subproblem's own first-order condition).
     """
-    probe = list(blocks)
-    probe[i] = xbar
+    probe = _with(blocks, i, xbar)
     if rule is UpdateRule.PENALTY_EXACT:
         lin = p.smooth_grad_block(i, probe)
         x_new = p.coupled_prox(i, blocks, dual_vec, beta, lin, kappa, xbar)
-        h_new = _coupling_at(p, blocks, i, x_new)
-        chi = -(
-            p.coupling_jac_t(i, _with(blocks, i, x_new), dual_vec + beta * h_new)
-            + lin
-            + kappa * (x_new - xbar)
-        )
+        pen = _penalty_grad(p, i, _with(blocks, i, x_new), dual_vec, beta)
+        chi = -(pen + lin + kappa * (x_new - xbar))
         return x_new, chi
-    h_bar = p.coupling_value(probe)
-    lin = p.coupling_jac_t(i, probe, dual_vec + beta * h_bar)
-    if rule is UpdateRule.FULLY_LINEARIZED:
-        lin = lin + p.smooth_grad_block(i, probe)
-        weight = kappa
-    else:
-        weight = beta * kappa
+    lin, weight = _linearization(p, rule, i, probe, dual_vec, beta, kappa)
     center = xbar - lin / weight
     x_new = p.separable_prox(i, center, weight)
     chi = weight * (center - x_new)
     return x_new, chi
+
+
+def _linearization(
+    p: ProblemSpec,
+    rule: UpdateRule,
+    i: int,
+    probe: Sequence[Array],
+    dual_vec: Array,
+    beta: float,
+    kappa: float,
+) -> tuple[Array, float]:
+    """(lin, weight) of block i's linearized subproblem at ``probe``.
+
+    ``probe`` holds the extrapolated block in slot i.  ``lin`` is the
+    gradient of the linearized terms there and ``weight`` the proximal
+    weight of the rule (beta * kappa or kappa).
+    """
+    lin = _penalty_grad(p, i, probe, dual_vec, beta)
+    if rule is UpdateRule.FULLY_LINEARIZED:
+        return lin + p.smooth_grad_block(i, probe), kappa
+    return lin, beta * kappa
 
 
 def _with(blocks: Sequence[Array], i: int, value: Array) -> list:
@@ -529,8 +536,11 @@ def _with(blocks: Sequence[Array], i: int, value: Array) -> list:
     return out
 
 
-def _coupling_at(p: ProblemSpec, blocks: Sequence[Array], i: int, value: Array) -> Array:
-    return p.coupling_value(_with(blocks, i, value))
+def _penalty_grad(
+    p: ProblemSpec, i: int, blocks: Sequence[Array], dual_vec: Array, beta: float
+) -> Array:
+    """Block-i gradient of <h(x), dual_vec> + beta/2 ||h(x)||^2 at ``blocks``."""
+    return p.coupling_jac_t(i, blocks, dual_vec + beta * p.coupling_value(blocks))
 
 
 def _block_optimality_residual(
@@ -547,32 +557,22 @@ def _block_optimality_residual(
 ) -> float:
     """Recompute the subproblem's first-order residual from fresh oracle calls."""
     if rule is UpdateRule.PENALTY_EXACT:
-        probe = _with(blocks, i, xbar)
-        h_new = _coupling_at(p, blocks, i, x_new)
-        res = (
-            chi
-            + p.coupling_jac_t(i, _with(blocks, i, x_new), dual_vec + beta * h_new)
-            + p.smooth_grad_block(i, probe)
-            + kappa * (x_new - xbar)
-        )
-        return norm(res)
-    probe = _with(blocks, i, xbar)
-    h_bar = p.coupling_value(probe)
-    lin = p.coupling_jac_t(i, probe, dual_vec + beta * h_bar)
-    if rule is UpdateRule.FULLY_LINEARIZED:
-        lin = lin + p.smooth_grad_block(i, probe)
-        weight = kappa
-    else:
-        weight = beta * kappa
+        pen = _penalty_grad(p, i, _with(blocks, i, x_new), dual_vec, beta)
+        lin = p.smooth_grad_block(i, _with(blocks, i, xbar))
+        return norm(chi + pen + lin + kappa * (x_new - xbar))
+    lin, weight = _linearization(p, rule, i, _with(blocks, i, xbar), dual_vec, beta, kappa)
     return norm(chi + lin + weight * (x_new - xbar))
 
 
 def update_y(
-    p: ProblemSpec, beta: float, y: Array, omega: Array, h_new: Array
+    p: ProblemSpec, beta: float, y: Array, grad_y: Array, omega: Array, h_new: Array
 ) -> Array:
-    """Proximal-linearized y step solving the ridge normal equations."""
+    """Proximal-linearized y step solving the ridge normal equations.
+
+    ``grad_y`` is the gradient of G at ``y``.
+    """
     lg = p.y_grad_lipschitz
-    rhs = lg * y - p.y_grad(y) - p.lin_map.apply_t(omega + beta * h_new)
+    rhs = lg * y - grad_y - p.lin_map.apply_t(omega + beta * h_new)
     return p.lin_map.solve_ridge(beta, lg, rhs)
 
 
@@ -619,8 +619,9 @@ def run(
 
     x = x0.copy() if isinstance(x0, BlockVector) else BlockVector(x0)
     p.check_x(x)
+    h0 = p.coupling_value(x.blocks)
     if y0 is None:
-        y = _feasible_y(p, x)
+        y = _feasible_y(p, h0)
     else:
         y = np.asarray(y0, dtype=float).copy()
     p.check_y(y)
@@ -635,14 +636,17 @@ def run(
         x=x, x_prev=x.copy(), y=y, y_prev=y.copy(), omega=omega, omega_prev=omega.copy()
     )
     start = time.perf_counter()
-    trace: list[TraceRecord] = [_initial_record(p, cfg, state, start, extra_metrics)]
+    state.coupling_cur = h0
+    record, _, grad_y = _record(
+        p, cfg, consts, state, h0 + p.lin_map.apply(y), start, extra_metrics
+    )
+    trace: list[TraceRecord] = [record]
 
     use_nesterov = r.extrapolation is Extrapolation.NESTEROV
     max_iters = cfg.max_iters if cfg.max_iters is not None else (1 << 62)
     eta_min = [math.inf] * p.s
     eta_max = [-math.inf] * p.s
     stop_reason = "max_iters"
-    y_grad_cache = None  # gradient of G at state.y, reusable across steps
 
     for it in range(max_iters):
         if cfg.max_seconds is not None and time.perf_counter() - start >= cfg.max_seconds:
@@ -736,11 +740,7 @@ def run(
 
         x_new_vec = BlockVector(blocks)
         h_new = p.coupling_value(blocks)
-        grad_y_old = y_grad_cache if y_grad_cache is not None else p.y_grad(state.y)
-        rhs = p.y_grad_lipschitz * state.y - grad_y_old - p.lin_map.apply_t(
-            state.omega + beta * h_new
-        )
-        y_new = p.lin_map.solve_ridge(beta, p.y_grad_lipschitz, rhs)
+        y_new = update_y(p, beta, state.y, grad_y, state.omega, h_new)
         if check in (CheckLevel.CHEAP, CheckLevel.FULL):
             res, scale = y_optimality_residual(p, beta, state.y, y_new, state.omega, h_new)
             check_extras["y_opt_rel"] = res / scale
@@ -783,24 +783,20 @@ def run(
         state.omega = omega_new
         state.k = it + 1
         state.t_prev = t_cur
-        state.lip_prev, state.lip = state.lip, lip_new
-        state.kappa_prev, state.kappa = state.kappa, kappa_new
+        state.lip = lip_new
+        state.kappa = kappa_new
         state.alpha = alpha_new
         state.gamma = gamma_new
         state.eta = eta_new
         state.chi = chi_new
         state.coupling_cur = h_new
 
-        record, y_grad_cache = _iteration_record(
-            p, cfg, consts, state, residual, start, extra_metrics
-        )
+        record, res, grad_y = _record(p, cfg, consts, state, residual, start, extra_metrics)
         record.extras.update(check_extras)
         record.extras.update(full_extras)
         trace.append(record)
 
-        if cfg.tolerance > 0.0 and max(
-            record.stat_x_max, record.stat_y, record.feas
-        ) <= cfg.tolerance:
+        if cfg.tolerance > 0.0 and res.max_residual <= cfg.tolerance:
             stop_reason = "tolerance"
             break
 
@@ -819,8 +815,8 @@ def run(
     )
 
 
-def _feasible_y(p: ProblemSpec, x: BlockVector) -> Array:
-    h0 = p.coupling_value(x.blocks)
+def _feasible_y(p: ProblemSpec, h0: Array) -> Array:
+    """y with B y = -h0 when the linear map can solve for it exactly, else zero."""
     candidate = p.lin_map.least_squares(-h0)
     if candidate is not None:
         gap = norm(h0 + p.lin_map.apply(candidate))
@@ -829,38 +825,7 @@ def _feasible_y(p: ProblemSpec, x: BlockVector) -> Array:
     return np.zeros(p.y_shape)
 
 
-def _initial_record(
-    p: ProblemSpec,
-    cfg: SolverConfig,
-    state: IterateState,
-    start: float,
-    extra_metrics,
-) -> TraceRecord:
-    obj = objective_value(p, state.x, state.y)
-    al = augmented_lagrangian(p, state.x, state.y, state.omega, cfg.beta)
-    feas_vec = p.coupling_value(state.x.blocks) + p.lin_map.apply(state.y)
-    stat_y = norm(p.y_grad(state.y) + p.lin_map.apply_t(state.omega))
-    rec = TraceRecord(
-        k=0,
-        time_s=time.perf_counter() - start,
-        objective=obj,
-        aug_lagrangian=al,
-        lyapunov=math.nan,
-        feas=norm(feas_vec),
-        stat_x_max=math.nan,
-        stat_y=stat_y,
-        dx=0.0,
-        dy=0.0,
-        domega=0.0,
-        extras={"omega_norm": norm(state.omega)},
-    )
-    if extra_metrics:
-        for name, fn in extra_metrics.items():
-            rec.extras[name] = float(fn(state))
-    return rec
-
-
-def _iteration_record(
+def _record(
     p: ProblemSpec,
     cfg: SolverConfig,
     consts: DerivedConstants,
@@ -868,50 +833,35 @@ def _iteration_record(
     residual: Array,
     start: float,
     extra_metrics,
-) -> tuple[TraceRecord, Array]:
-    """Build the per-iteration record without re-evaluating the coupling.
+) -> tuple[TraceRecord, Residuals, Array]:
+    """Build the trace record at the current iterate without re-evaluating h.
 
-    ``residual`` is h(x) + B y at the new iterate.  Returns the record and
-    the gradient of G at the new y for reuse by the next y step.
+    ``residual`` is h(x) + B y at the current iterate.  Before the first
+    iteration (k = 0) no subgradient exists yet, so stat_x and the Lyapunov
+    value are NaN.  Returns the record, its residuals, and the gradient of
+    G at y for reuse by the next y step.
     """
     obj = objective_value(p, state.x, state.y)
     al = obj + vdot(residual, state.omega) + 0.5 * cfg.beta * vdot(residual, residual)
-
-    # compound descent value, assembled from the Lagrangian just computed
-    lyap = al - (1.0 - cfg.tau1) / (2.0 * cfg.tau2 * cfg.beta) * vdot(
-        state.omega, state.omega
-    )
-    dx_sq = 0.0
-    for i in range(p.s):
-        dxi = state.x[i] - state.x_prev[i]
-        gap = vdot(dxi, dxi)
-        lyap += cfg.b1 * state.eta[i] * gap
-        dx_sq += gap
-    domega_t = p.lin_map.apply_t(state.omega - state.omega_prev)
-    lyap += consts.c1 * vdot(domega_t, domega_t)
-    dy_vec = state.y - state.y_prev
-    lyap += cfg.b2 * consts.c3 * vdot(dy_vec, dy_vec)
-
-    stat_x = []
-    for i in range(p.s):
-        g = state.chi[i] + p.coupling_jac_t(i, state.x.blocks, state.omega)
-        if p.smooth_grad_block is not None:
-            g = g + p.smooth_grad_block(i, state.x.blocks)
-        stat_x.append(norm(g))
-    grad_y_new = p.y_grad(state.y)
-    stat_y = norm(grad_y_new + p.lin_map.apply_t(state.omega))
+    grad_y = p.y_grad(state.y)
+    if state.k == 0:
+        res = Residuals((math.nan,), y_stationarity(p, grad_y, state.omega), norm(residual))
+        lyap = math.nan
+    else:
+        res = stationarity_residuals(p, state.x, state.omega, state.chi, grad_y, residual)
+        lyap = lyapunov_value(p, cfg, consts, state, al)
 
     rec = TraceRecord(
         k=state.k,
         time_s=time.perf_counter() - start,
         objective=obj,
         aug_lagrangian=float(al),
-        lyapunov=float(lyap),
-        feas=norm(residual),
-        stat_x_max=max(stat_x),
-        stat_y=stat_y,
-        dx=math.sqrt(dx_sq),
-        dy=norm(dy_vec),
+        lyapunov=lyap,
+        feas=res.feas,
+        stat_x_max=res.stat_x_max,
+        stat_y=res.stat_y,
+        dx=math.sqrt(sum(vdot(d, d) for d in map(np.subtract, state.x, state.x_prev))),
+        dy=norm(state.y - state.y_prev),
         domega=norm(state.omega - state.omega_prev),
         alpha=tuple(state.alpha),
         eta=tuple(state.eta),
@@ -921,7 +871,7 @@ def _iteration_record(
     if extra_metrics:
         for name, fn in extra_metrics.items():
             rec.extras[name] = float(fn(state))
-    return rec, grad_y_new
+    return rec, res, grad_y
 
 
 def write_trace_csv(path, trace: Sequence[TraceRecord]) -> None:

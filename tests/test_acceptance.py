@@ -141,7 +141,7 @@ def test_criterion_3_closed_forms_match_engine():
         want_v = logmf.update_col_factors(v_ex, got_u, w, omega, beta, lam_col)
         worst = max(worst, _rel_gap(got_v, want_v))
 
-        got_w = update_y(problem, beta, w, omega, got_u @ got_v)
+        got_w = update_y(problem, beta, w, problem.y_grad(w), omega, got_u @ got_v)
         want_w = logmf.update_logits(w, got_u @ got_v, omega, data, c, beta)
         worst = max(worst, _rel_gap(got_w, want_w))
     assert worst <= 1e-10

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from iadmm import bench
 from iadmm.bench import (
     ExperimentConfig,
     Variant,
@@ -34,6 +35,12 @@ def tiny_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _without_time(trace_text: str) -> list[list[str]]:
+    rows = [line.split(",") for line in trace_text.splitlines()]
+    col = rows[0].index("time_s")
+    return [row[:col] + row[col + 1:] for row in rows]
 
 
 class TestConfigParsing:
@@ -125,6 +132,33 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "runs_manifest.json").read_text())
         hashes = {r["input_sha256"] for r in manifest["runs"]}
         assert len(hashes) == 1  # single cell: every algorithm saw the same inputs
+
+    def test_jobs2_writes_same_bytes_as_jobs1(self, tmp_path):
+        cfg = tiny_config(inits_per_dataset=2)
+        run_experiment(cfg, tmp_path / "j1", jobs=1)
+        run_experiment(cfg, tmp_path / "j2", jobs=2)
+        names = sorted(p.name for p in (tmp_path / "j1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "j2").iterdir())
+        for name in names:
+            if name.startswith("plot_time_"):
+                continue  # wall-time grid: machine-dependent by nature
+            one = (tmp_path / "j1" / name).read_text()
+            two = (tmp_path / "j2" / name).read_text()
+            if name.startswith("trace_"):
+                one, two = _without_time(one), _without_time(two)
+            assert one == two, name
+
+    def test_run_writing_into_shared_inputs_detected(self, tmp_path, monkeypatch):
+        real_gd_run = bench.gd_run
+
+        def writing_gd_run(u0, v0, inst, **kwargs):
+            out = real_gd_run(u0, v0, inst, **kwargs)
+            u0[0, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(bench, "gd_run", writing_gd_run)
+        with pytest.raises(RuntimeError, match="different inputs"):
+            run_experiment(tiny_config(), tmp_path)
 
     def test_invalid_variant_aborts_before_running(self, tmp_path):
         cfg = tiny_config(variants=(Variant(1.0, 1.0, True),), b2=0.5)

@@ -162,7 +162,10 @@ class TestStationarityResiduals:
         p = toy_problem(a_mat, a, b)
         # subgradient of the folded separable part at the solution
         chi = [x_star - a]
-        res = stationarity_residuals(p, BlockVector([x_star]), y_star, w_star, chi)
+        x = BlockVector([x_star])
+        res = stationarity_residuals(
+            p, x, w_star, chi, p.y_grad(y_star), constraint_residual(p, x, y_star)
+        )
         assert res.max_residual < 1e-10
         assert all(v >= 0.0 for v in (*res.stat_x, res.stat_y, res.feas))
 
@@ -172,14 +175,19 @@ class TestStationarityResiduals:
         x = BlockVector([np.zeros((2, 1)), np.zeros((1, 2))])
         omega = np.full((2, 2), 0.5)
         chi = [np.zeros((2, 1)), np.zeros((1, 2))]
-        res = stationarity_residuals(p, x, np.zeros((2, 2)), omega, chi)
+        y = np.zeros((2, 2))
+        res = stationarity_residuals(
+            p, x, omega, chi, p.y_grad(y), constraint_residual(p, x, y)
+        )
         assert res.stat_y == pytest.approx(0.0, abs=1e-15)
 
     def test_wrong_chi_count_raises(self):
         p = logmf_problem()
         x = BlockVector([np.zeros((2, 1)), np.zeros((1, 2))])
         with pytest.raises(DimensionError):
-            stationarity_residuals(p, x, np.zeros((2, 2)), np.zeros((2, 2)), [])
+            stationarity_residuals(
+                p, x, np.zeros((2, 2)), [], np.zeros((2, 2)), np.zeros((2, 2))
+            )
 
 
 class TestLinearMaps:

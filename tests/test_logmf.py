@@ -101,13 +101,13 @@ class TestObjective:
     def test_zero_point_value(self):
         u = np.zeros((2, 1))
         v = np.zeros((1, 2))
-        val = logmf.objective(u, v, np.zeros((2, 2)), 1.0, 0.7, 0.9)
+        val = logmf.objective(u, v, u @ v, np.zeros((2, 2)), 1.0, 0.7, 0.9)
         assert val == pytest.approx(4.0 * math.log(2.0), rel=1e-15)
 
     def test_zero_product_any_rank(self):
         u = np.zeros((3, 2))
         v = np.zeros((2, 4))
-        val = logmf.objective(u, v, np.zeros((3, 4)), 1.0, 0.0, 0.0)
+        val = logmf.objective(u, v, u @ v, np.zeros((3, 4)), 1.0, 0.0, 0.0)
         assert val == pytest.approx(12.0 * math.log(2.0), rel=1e-15)
 
     def test_matches_split_objective_at_feasible_point(self):
@@ -117,7 +117,7 @@ class TestObjective:
         p = logmf.make_problem(inst)
         u = rng.standard_normal((4, 2))
         v = rng.standard_normal((2, 5))
-        direct = logmf.objective(u, v, y, 1.0, 0.3, 0.6)
+        direct = logmf.objective(u, v, u @ v, y, 1.0, 0.3, 0.6)
         split = objective_value(p, BlockVector([u, v]), u @ v)
         assert split == pytest.approx(direct, rel=1e-10)
 
@@ -252,9 +252,9 @@ class TestGdBaseline:
         y = (rng.uniform(size=(4, 5)) < 0.4).astype(float)
         u = rng.standard_normal((4, 2))
         v = rng.standard_normal((2, 5))
-        before = logmf.objective(u, v, y, 1.0, 0.25, 0.25)
+        before = logmf.objective(u, v, u @ v, y, 1.0, 0.25, 0.25)
         u2, v2 = logmf.gd_step(u, v, y, 1.0, 0.25, 0.25)
-        after = logmf.objective(u2, v2, y, 1.0, 0.25, 0.25)
+        after = logmf.objective(u2, v2, u2 @ v2, y, 1.0, 0.25, 0.25)
         assert after <= before + 1e-10 * (1.0 + abs(before))
 
     def test_gd_run_trace_and_step_agree(self):
@@ -264,7 +264,7 @@ class TestGdBaseline:
         u_fin, v_fin, trace = logmf.gd_run(u0, v0, inst, max_iters=3)
         assert [r.k for r in trace] == [0, 1, 2, 3]
         u1, v1 = logmf.gd_step(u0, v0, y, 1.0, 0.25, 0.25)
-        want = logmf.objective(u1, v1, y, 1.0, 0.25, 0.25)
+        want = logmf.objective(u1, v1, u1 @ v1, y, 1.0, 0.25, 0.25)
         assert trace[1].objective == pytest.approx(want, rel=1e-12)
 
 

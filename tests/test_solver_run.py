@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iadmm import logmf
-from iadmm.core import BlockVector, ConfigError
+from iadmm.core import BlockVector, ConfigError, augmented_lagrangian
 from iadmm.solver import (
     IterateState,
     SolverConfig,
@@ -126,13 +126,12 @@ class TestRunInvariants:
             omega=cont.omega, omega_prev=prev.omega, k=9,
         )
         state.eta = list(cont.trace[1].eta)
-        want = lyapunov_value(p, cfg, consts, state)
+        al = augmented_lagrangian(p, state.x, state.y, state.omega, cfg.beta)
+        want = lyapunov_value(p, cfg, consts, state, al)
         assert cont.trace[1].lyapunov == pytest.approx(want, rel=1e-12)
 
     def test_lyapunov_equals_lagrangian_at_rest(self):
         # classical multipliers, zero iterate gaps: every correction vanishes
-        from iadmm.core import augmented_lagrangian
-
         inst, p, u0, v0 = small_logmf()
         cfg = SolverConfig(tau1=1.0, tau2=1.0, beta=2.0, b2=0.5)
         consts = validate_config(cfg, p)
@@ -143,7 +142,7 @@ class TestRunInvariants:
                              omega=omega, omega_prev=omega.copy(), k=1)
         state.eta = [1.0, 1.0]
         want = augmented_lagrangian(p, x, w, omega, 2.0)
-        assert lyapunov_value(p, cfg, consts, state) == pytest.approx(want, rel=1e-14)
+        assert lyapunov_value(p, cfg, consts, state, want) == pytest.approx(want, rel=1e-14)
 
     def test_lyapunov_value_before_first_iteration_raises(self):
         inst, p, u0, v0 = small_logmf()
@@ -152,8 +151,9 @@ class TestRunInvariants:
         x = BlockVector([u0, v0])
         state = IterateState(x=x, x_prev=x, y=u0 @ v0, y_prev=u0 @ v0,
                              omega=np.zeros((10, 8)), omega_prev=np.zeros((10, 8)))
+        al = augmented_lagrangian(p, x, state.y, state.omega, cfg.beta)
         with pytest.raises(ConfigError):
-            lyapunov_value(p, cfg, consts, state)
+            lyapunov_value(p, cfg, consts, state, al)
 
     def test_momentum_restart_continuation_matches(self):
         # determinism: same seed, same budget, byte-equal trace scalars
@@ -163,6 +163,35 @@ class TestRunInvariants:
         r2 = run(p, cfg, [u0, v0])
         assert [rec.objective for rec in r1.trace] == [rec.objective for rec in r2.trace]
         assert [rec.lyapunov for rec in r1.trace] == [rec.lyapunov for rec in r2.trace]
+
+
+class TestOracleCalls:
+    def test_calls_per_run_at_check_off(self):
+        # pins the per-run oracle work: one coupling value per block sweep
+        # step, one y gradient per iteration (reused by the next y step)
+        inst, p, u0, v0 = small_logmf()
+        counts = dict.fromkeys(
+            ("y_grad", "y_value", "coupling_value", "coupling_jac_t",
+             "block_penalty_lipschitz", "separable_prox"), 0
+        )
+        for name in counts:
+            def counted(*args, _fn=getattr(p, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            setattr(p, name, counted)
+        n = 20
+        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=n, check_level="off")
+        run(p, cfg, [u0, v0],
+            extra_metrics={"model_objective": logmf.model_objective_metric(inst)})
+        assert counts == {
+            "y_grad": n + 1,
+            "y_value": n + 1,
+            "coupling_value": 3 * n + 1,
+            "coupling_jac_t": 4 * n,
+            "block_penalty_lipschitz": 2 * n,
+            "separable_prox": 2 * n,
+        }
 
 
 class TestNonInertialAblation:

@@ -178,7 +178,8 @@ class TestUpdateY:
         # beta 1, L_G 1/4, W 0, data 0, grad 1/2, omega 0, UV 0 -> -0.4
         inst = logmf.LogMfInstance(y=np.zeros((1, 1)), rank=1)
         p = logmf.make_problem(inst)
-        y_new = update_y(p, 1.0, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        zero = np.zeros((1, 1))
+        y_new = update_y(p, 1.0, zero, p.y_grad(zero), zero, zero)
         assert y_new[0, 0] == pytest.approx(-0.4, abs=1e-15)
 
     def test_fixed_point(self):
@@ -188,7 +189,7 @@ class TestUpdateY:
         p.y_grad = lambda y: np.zeros(4)
         y = np.arange(4.0)
         h_new = y.copy()  # -B y = y for B = -I
-        y_new = update_y(p, 3.0, y, np.zeros(4), h_new)
+        y_new = update_y(p, 3.0, y, p.y_grad(y), np.zeros(4), h_new)
         np.testing.assert_allclose(y_new, y, atol=1e-14)
 
     def test_matches_closed_form_logit_update(self):
@@ -199,7 +200,7 @@ class TestUpdateY:
         w = rng.standard_normal((3, 4))
         omega = rng.standard_normal((3, 4))
         uv = rng.standard_normal((3, 4))
-        got = update_y(p, 2.0, w, omega, uv)
+        got = update_y(p, 2.0, w, p.y_grad(w), omega, uv)
         want = logmf.update_logits(w, uv, omega, data, 1.5, 2.0)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
@@ -213,7 +214,7 @@ class TestUpdateY:
         w = rng.standard_normal((2, 2))
         omega = rng.standard_normal((2, 2))
         uv = rng.standard_normal((2, 2))
-        y_new = update_y(p, 1.0, w, omega, uv)
+        y_new = update_y(p, 1.0, w, p.y_grad(w), omega, uv)
         res, scale = y_optimality_residual(p, 1.0, w, y_new, omega, uv)
         assert res <= 1e-12 * scale
 
