@@ -29,7 +29,6 @@ from .solver import (
     DerivedConstants,
     Extrapolation,
     IterateState,
-    KappaRule,
     RunResult,
     SolverConfig,
     TraceRecord,
@@ -64,7 +63,6 @@ __all__ = [
     "DerivedConstants",
     "Extrapolation",
     "IterateState",
-    "KappaRule",
     "RunResult",
     "SolverConfig",
     "TraceRecord",

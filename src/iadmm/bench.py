@@ -18,6 +18,7 @@ machine-dependent by nature.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
@@ -204,6 +205,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             unknown_v = set(v) - _VARIANT_KEYS
             if unknown_v:
                 raise ConfigError(f"unknown variant keys: {sorted(unknown_v)}")
+            missing_v = {"tau1", "tau2"} - set(v)
+            if missing_v:
+                raise ConfigError(f"variant misses keys: {sorted(missing_v)}")
             variants.append(
                 Variant(float(v["tau1"]), float(v["tau2"]), bool(v.get("inertial", True)))
             )
@@ -490,19 +494,18 @@ def _write_plot_data(out: Path, size, runs, traces, horizon_cfg=None) -> dict:
         rows[-1]["time_s"] for all_rows in series.values() for rows in all_rows
     )
     grid = [horizon * j / 99.0 for j in range(100)] if horizon > 0 else [0.0]
+    # a trace's time_s is non-decreasing, so bisection finds the last row at
+    # or before t (the first row when none is)
+    times = {algo: [[row["time_s"] for row in rows] for rows in series[algo]]
+             for algo in algos}
     time_lines = ["time_s," + ",".join(algos)]
     for t in grid:
         vals = []
         for algo in algos:
-            per_trial = []
-            for rows in series[algo]:
-                idx = 0
-                for j, row in enumerate(rows):
-                    if row["time_s"] <= t:
-                        idx = j
-                    else:
-                        break
-                per_trial.append(_row_objective(rows[idx]))
+            per_trial = [
+                _row_objective(rows[max(bisect.bisect_right(ts, t) - 1, 0)])
+                for rows, ts in zip(series[algo], times[algo])
+            ]
             vals.append(statistics.fmean(per_trial))
         time_lines.append(",".join([format(t, ".17g")] + [format(v, ".17g") for v in vals]))
     time_path = out / f"plot_time_{m}x{n}.csv"

@@ -31,8 +31,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", type=Path, required=True, help="experiment JSON")
     p_run.add_argument("--out", type=Path, required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override master seed")
-    p_run.add_argument("--budget-iters", type=int, default=None)
-    p_run.add_argument("--budget-secs", type=float, default=None)
+    budget = p_run.add_mutually_exclusive_group()
+    budget.add_argument("--budget-iters", type=int, default=None)
+    budget.add_argument("--budget-secs", type=float, default=None)
     p_run.add_argument("--check-level", choices=("off", "cheap", "full"), default=None)
     p_run.add_argument("--jobs", type=int, default=1, help="parallel runs (threads)")
 

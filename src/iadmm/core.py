@@ -312,8 +312,15 @@ def augmented_lagrangian(
     obj = objective_value(p, x, y)
     if math.isinf(obj):
         return math.inf
-    r = constraint_residual(p, x, y)
-    return obj + vdot(r, omega) + 0.5 * beta * vdot(r, r)
+    return lagrangian_from_parts(obj, constraint_residual(p, x, y), omega, beta)
+
+
+def lagrangian_from_parts(obj: float, residual: Array, omega: Array, beta: float) -> float:
+    """Augmented Lagrangian obj + <residual, omega> + beta/2 ||residual||^2.
+
+    ``obj`` and ``residual`` = h(x) + B y must be taken at the same point.
+    """
+    return obj + vdot(residual, omega) + 0.5 * beta * vdot(residual, residual)
 
 
 @dataclass(frozen=True)

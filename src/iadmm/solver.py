@@ -2,9 +2,10 @@
 
 One outer iteration performs, in order:
 
-1. for each block i: extrapolate ``xbar_i = x_i + alpha_i (x_i - x_i_prev)``
-   and minimize an inertial proximal surrogate of the augmented Lagrangian
-   in that block (three update rules, see :class:`UpdateRule`);
+1. for each block i: extrapolate ``xbar_i = x_i + alpha_i dx_i`` along the
+   block's last step ``dx_i = x_i - x_i_prev`` and minimize an inertial
+   proximal surrogate of the augmented Lagrangian in that block (three
+   update rules, see :class:`UpdateRule`);
 2. a proximal-linearized step in the splitting variable
    ``y_new = (beta B^T B + L_G I)^{-1} (L_G y - grad_G(y) - B^T (omega + beta h(x_new)))``;
 3. the scaled multiplier step
@@ -43,6 +44,7 @@ from .core import (
     ProblemSpec,
     Residuals,
     augmented_lagrangian,
+    lagrangian_from_parts,
     norm,
     objective_value,
     stationarity_residuals,
@@ -105,12 +107,6 @@ class CheckLevel(str, enum.Enum):
     FULL = "full"
 
 
-class KappaRule(str, enum.Enum):
-    AUTO = "auto"  # exact when the block structure admits it, else inflated
-    EXACT = "exact"
-    INFLATED = "inflated"
-
-
 def _per_block(value, s: int, caster) -> tuple:
     if isinstance(value, (list, tuple)):
         if len(value) != s:
@@ -126,10 +122,11 @@ class SolverConfig:
     ``tau1``/``tau2`` scale and step the multiplier update; classical dual
     ascent is tau1 = tau2 = 1.  ``b1`` bounds the extrapolation carry-over,
     ``b2`` the y-step carry-over, ``nu`` splits each block's proximal gap
-    between the descent and carry-over coefficients.  ``kappa_margin`` is
-    the strict inflation factor used when the exact proximal modulus is not
-    admissible.  Per-block settings (``nu``, ``kappa_rule``, ``update_rule``)
-    accept either a scalar or one entry per block.
+    between the descent and carry-over coefficients.  Each block uses the
+    exact proximal modulus kappa = l_i when its :class:`BlockTraits` admit
+    it (linear coupling and a convex subproblem) and kappa = ``kappa_margin``
+    * l_i otherwise; ``kappa_margin`` must exceed 1.  Per-block settings
+    (``nu``, ``update_rule``) accept either a scalar or one entry per block.
 
     ``enforce_gate`` controls whether the scalar smoothness inequality
     ``8 C2 L_G^2 <= B2 C3`` rejects the configuration or merely emits a
@@ -143,7 +140,6 @@ class SolverConfig:
     b1: float = 0.9999
     b2: float = 0.5
     nu: float | Sequence[float] = 0.5
-    kappa_rule: str | Sequence[str] = KappaRule.AUTO
     kappa_margin: float = 1.01
     update_rule: str | Sequence[str] = UpdateRule.PENALTY_LINEARIZED
     extrapolation: str = Extrapolation.NESTEROV
@@ -156,7 +152,6 @@ class SolverConfig:
     def resolved(self, s: int) -> "ResolvedConfig":
         return ResolvedConfig(
             nu=_per_block(self.nu, s, float),
-            kappa_rule=_per_block(self.kappa_rule, s, KappaRule),
             update_rule=_per_block(self.update_rule, s, UpdateRule),
             extrapolation=Extrapolation(self.extrapolation),
             check_level=CheckLevel(self.check_level),
@@ -166,7 +161,6 @@ class SolverConfig:
 @dataclass
 class ResolvedConfig:
     nu: tuple[float, ...]
-    kappa_rule: tuple[KappaRule, ...]
     update_rule: tuple[UpdateRule, ...]
     extrapolation: Extrapolation
     check_level: CheckLevel
@@ -214,7 +208,7 @@ def validate_config(cfg: SolverConfig, p: ProblemSpec) -> DerivedConstants:
     for i, nu in enumerate(r.nu):
         if not (0.0 < nu < 1.0):
             raise ConfigError(f"nu for block {i} must lie in (0, 1), got {nu}")
-    if any(k is not KappaRule.EXACT for k in r.kappa_rule) and not cfg.kappa_margin > 1.0:
+    if not cfg.kappa_margin > 1.0:
         raise ConfigError(f"kappa_margin must exceed 1, got {cfg.kappa_margin}")
     if cfg.max_iters is None and cfg.max_seconds is None:
         raise ConfigError("need an iteration or wall-clock budget (or both)")
@@ -259,7 +253,6 @@ def validate_config(cfg: SolverConfig, p: ProblemSpec) -> DerivedConstants:
 
 def _check_block_rule(p: ProblemSpec, r: ResolvedConfig, i: int) -> None:
     rule = r.update_rule[i]
-    traits = p.traits(i)
     if rule in (UpdateRule.FULLY_LINEARIZED, UpdateRule.PENALTY_EXACT):
         if p.smooth_grad_block is None or p.block_smooth_lipschitz is None:
             raise ConfigError(
@@ -267,18 +260,13 @@ def _check_block_rule(p: ProblemSpec, r: ResolvedConfig, i: int) -> None:
                 "block_smooth_lipschitz oracles"
             )
     if rule in (UpdateRule.PENALTY_LINEARIZED, UpdateRule.FULLY_LINEARIZED):
-        if not traits.coupling_linear:
+        if not p.traits(i).coupling_linear:
             raise ConfigError(
                 f"block {i}: rule {rule.value} requires h linear in the block; "
                 "use penalty_exact with a coupled_prox oracle otherwise"
             )
     if rule is UpdateRule.PENALTY_EXACT and p.coupled_prox is None:
         raise ConfigError(f"block {i}: rule penalty_exact needs a coupled_prox oracle")
-    if r.kappa_rule[i] is KappaRule.EXACT and not _exact_kappa_ok(rule, traits):
-        raise ConfigError(
-            f"block {i}: exact proximal modulus needs a linear coupling and a "
-            "convex subproblem; use the inflated rule"
-        )
 
 
 def _exact_kappa_ok(rule: UpdateRule, traits: BlockTraits) -> bool:
@@ -287,14 +275,6 @@ def _exact_kappa_ok(rule: UpdateRule, traits: BlockTraits) -> bool:
     if rule is UpdateRule.PENALTY_LINEARIZED:
         return True
     return traits.smooth_convex
-
-
-def _use_exact_kappa(rule: UpdateRule, kappa_rule: KappaRule, traits: BlockTraits) -> bool:
-    if kappa_rule is KappaRule.EXACT:
-        return True
-    if kappa_rule is KappaRule.INFLATED:
-        return False
-    return _exact_kappa_ok(rule, traits)
 
 
 def nesterov_t_next(t_prev: float) -> float:
@@ -369,21 +349,25 @@ def _descent_coefficients(
 
 @dataclass
 class IterateState:
-    """Current and previous iterates plus per-block bookkeeping.
+    """Current iterates, the steps that produced them, and per-block bookkeeping.
 
+    ``dx`` (one array per block), ``dy`` and ``domega`` are the steps
+    x - x_prev, y - y_prev and omega - omega_prev of the most recently
+    completed iteration, zero before the first one.  The solver forms each
+    step once, when it accepts the new iterate; the extrapolation, the
+    descent check, the trace record and :func:`lyapunov_value` all read it.
     ``lip``/``kappa``/``alpha``/``gamma``/``eta`` hold the values used by
-    the most recently completed iteration (the one that produced ``x``).
-    ``chi`` stores the
-    separable subgradients recovered from the proximal identities.
-    ``coupling_cur`` holds h(x) at the current iterate for metric hooks.
+    the same iteration.  ``chi`` stores the separable subgradients
+    recovered from the proximal identities.  ``coupling_cur`` holds h(x)
+    at the current iterate for metric hooks.
     """
 
     x: BlockVector
-    x_prev: BlockVector
+    dx: list
     y: Array
-    y_prev: Array
+    dy: Array
     omega: Array
-    omega_prev: Array
+    domega: Array
     k: int = 0
     t_prev: float = 1.0
     lip: list = field(default_factory=list)
@@ -447,20 +431,18 @@ def lyapunov_value(
     ``al`` is the augmented Lagrangian at the current iterate; the value
     subtracts the multiplier-norm correction (1 - tau1) / (2 tau2 beta)
     ||omega||^2 and adds the carry-over terms b1 * eta_i ||dx_i||^2,
-    c1 ||B^T domega||^2 and b2 c3 ||dy||^2.  Defined only once a full
-    iteration has run (k >= 1).
+    c1 ||B^T domega||^2 and b2 c3 ||dy||^2, reading the steps stored in
+    ``state``.  Defined only once a full iteration has run (k >= 1).
     """
     if state.k < 1:
         raise ConfigError("compound descent value is undefined before the first iteration")
     beta, tau1, tau2 = cfg.beta, cfg.tau1, cfg.tau2
     value = al - (1.0 - tau1) / (2.0 * tau2 * beta) * vdot(state.omega, state.omega)
     for i in range(p.s):
-        dxi = state.x[i] - state.x_prev[i]
-        value += cfg.b1 * state.eta[i] * vdot(dxi, dxi)
-    domega_t = p.lin_map.apply_t(state.omega - state.omega_prev)
+        value += cfg.b1 * state.eta[i] * vdot(state.dx[i], state.dx[i])
+    domega_t = p.lin_map.apply_t(state.domega)
     value += consts.c1 * vdot(domega_t, domega_t)
-    dy = state.y - state.y_prev
-    value += cfg.b2 * consts.c3 * vdot(dy, dy)
+    value += cfg.b2 * consts.c3 * vdot(state.dy, state.dy)
     return float(value)
 
 
@@ -633,13 +615,13 @@ def run(
     p.check_omega(omega)
 
     state = IterateState(
-        x=x, x_prev=x.copy(), y=y, y_prev=y.copy(), omega=omega, omega_prev=omega.copy()
+        x=x, dx=[np.zeros_like(b) for b in x.blocks], y=y, dy=np.zeros_like(y),
+        omega=omega, domega=np.zeros_like(omega),
     )
     start = time.perf_counter()
     state.coupling_cur = h0
-    record, _, grad_y = _record(
-        p, cfg, consts, state, h0 + p.lin_map.apply(y), start, extra_metrics
-    )
+    by = p.lin_map.apply(y)
+    record, _, grad_y = _record(p, cfg, consts, state, h0 + by, start, extra_metrics)
     trace: list[TraceRecord] = [record]
 
     use_nesterov = r.extrapolation is Extrapolation.NESTEROV
@@ -655,7 +637,6 @@ def run(
         t_cur = nesterov_t_next(state.t_prev) if use_nesterov else 1.0
 
         blocks = list(state.x.blocks)
-        by = p.lin_map.apply(state.y)
         dual_vec = state.omega + beta * by
 
         lip_new: list[float] = []
@@ -664,15 +645,14 @@ def run(
         gamma_new: list[float] = []
         eta_new: list[float] = []
         chi_new: list[Array] = []
+        dx_new: list[Array] = []
         check_extras: dict[str, float] = {}
-        al_before = None
-        if check is CheckLevel.FULL:
-            al_before = augmented_lagrangian(p, BlockVector(blocks), state.y, state.omega, beta)
+        # the Lagrangian at the sweep's start, as recorded for the current iterate
+        al_before = trace[-1].aug_lagrangian
 
         for i in range(p.s):
             rule = r.update_rule[i]
-            traits = p.traits(i)
-            exact = _use_exact_kappa(rule, r.kappa_rule[i], traits)
+            exact = _exact_kappa_ok(rule, p.traits(i))
             lip = _block_modulus(p, rule, beta, i, blocks)
             if lip < 0.0:
                 raise ConfigError(f"block {i}: negative Lipschitz modulus {lip}")
@@ -692,9 +672,10 @@ def run(
                 )
             else:
                 alpha = 0.0
-            xbar = blocks[i] + alpha * (blocks[i] - state.x_prev[i])
+            xbar = blocks[i] + alpha * state.dx[i]
 
             x_new, chi = update_block(p, rule, i, blocks, xbar, dual_vec, beta, kappa)
+            step = x_new - blocks[i]
             eta, gamma = _descent_coefficients(
                 rule, exact, beta, r.nu[i], lip, kappa, alpha
             )
@@ -713,13 +694,11 @@ def run(
                         f"{res:.3e} exceeds {BLOCK_OPTIMALITY_RTOL * (1.0 + norm(x_new)):.3e}"
                     )
             if check is CheckLevel.FULL:
-                dx_old = blocks[i] - state.x_prev[i]
-                dx_new = x_new - blocks[i]
                 al_after = augmented_lagrangian(
                     p, BlockVector(_with(blocks, i, x_new)), state.y, state.omega, beta
                 )
-                lhs = al_after + eta * vdot(dx_new, dx_new)
-                rhs = al_before + gamma * vdot(dx_old, dx_old)
+                lhs = al_after + eta * vdot(step, step)
+                rhs = al_before + gamma * vdot(state.dx[i], state.dx[i])
                 slack = NSDP_RTOL * (1.0 + abs(al_before))
                 if lhs > rhs + slack:
                     raise InvariantViolation(
@@ -729,6 +708,7 @@ def run(
                 al_before = al_after
 
             blocks[i] = x_new
+            dx_new.append(step)
             lip_new.append(lip)
             kappa_new.append(kappa)
             alpha_new.append(alpha)
@@ -741,6 +721,7 @@ def run(
         x_new_vec = BlockVector(blocks)
         h_new = p.coupling_value(blocks)
         y_new = update_y(p, beta, state.y, grad_y, state.omega, h_new)
+        dy = y_new - state.y
         if check in (CheckLevel.CHEAP, CheckLevel.FULL):
             res, scale = y_optimality_residual(p, beta, state.y, y_new, state.omega, h_new)
             check_extras["y_opt_rel"] = res / scale
@@ -753,8 +734,7 @@ def run(
         if check is CheckLevel.FULL:
             # al_before now holds the Lagrangian after the whole block sweep
             al_after_y = augmented_lagrangian(p, x_new_vec, y_new, state.omega, beta)
-            dy_vec = y_new - state.y
-            lhs = al_after_y + 0.5 * consts.delta * vdot(dy_vec, dy_vec)
+            lhs = al_after_y + 0.5 * consts.delta * vdot(dy, dy)
             slack = NSDP_RTOL * (1.0 + abs(al_before))
             if lhs > al_before + slack:
                 raise InvariantViolation(
@@ -762,7 +742,8 @@ def run(
                     f"{lhs - al_before:.3e} (slack {slack:.3e})"
                 )
             full_extras = {"al_after_x": al_before, "al_after_y": al_after_y}
-        residual = h_new + p.lin_map.apply(y_new)
+        by = p.lin_map.apply(y_new)  # also feeds the next sweep's dual_vec
+        residual = h_new + by
         omega_new = update_multiplier(beta, tau1, tau2, state.omega, residual)
         if check in (CheckLevel.CHEAP, CheckLevel.FULL):
             implied = (omega_new - tau1 * state.omega) / (tau2 * beta)
@@ -775,11 +756,11 @@ def run(
                     f"{MULTIPLIER_IDENTITY_RTOL * (1.0 + norm(implied)):.3e}"
                 )
 
-        state.x_prev = state.x
         state.x = x_new_vec
-        state.y_prev = state.y
+        state.dx = dx_new
         state.y = y_new
-        state.omega_prev = state.omega
+        state.dy = dy
+        state.domega = omega_new - state.omega
         state.omega = omega_new
         state.k = it + 1
         state.t_prev = t_cur
@@ -842,7 +823,7 @@ def _record(
     G at y for reuse by the next y step.
     """
     obj = objective_value(p, state.x, state.y)
-    al = obj + vdot(residual, state.omega) + 0.5 * cfg.beta * vdot(residual, residual)
+    al = lagrangian_from_parts(obj, residual, state.omega, cfg.beta)
     grad_y = p.y_grad(state.y)
     if state.k == 0:
         res = Residuals((math.nan,), y_stationarity(p, grad_y, state.omega), norm(residual))
@@ -855,14 +836,14 @@ def _record(
         k=state.k,
         time_s=time.perf_counter() - start,
         objective=obj,
-        aug_lagrangian=float(al),
+        aug_lagrangian=al,
         lyapunov=lyap,
         feas=res.feas,
         stat_x_max=res.stat_x_max,
         stat_y=res.stat_y,
-        dx=math.sqrt(sum(vdot(d, d) for d in map(np.subtract, state.x, state.x_prev))),
-        dy=norm(state.y - state.y_prev),
-        domega=norm(state.omega - state.omega_prev),
+        dx=math.sqrt(sum(vdot(d, d) for d in state.dx)),
+        dy=norm(state.dy),
+        domega=norm(state.domega),
         alpha=tuple(state.alpha),
         eta=tuple(state.eta),
         gamma=tuple(state.gamma),

@@ -51,6 +51,8 @@ class TestConfigParsing:
     def test_unknown_variant_key_rejected(self):
         with pytest.raises(ConfigError, match="variant"):
             config_from_dict({"variants": [{"tau1": 1, "tau2": 1, "bogus": 2}]})
+        with pytest.raises(ConfigError, match=r"variant.*'tau1'"):
+            config_from_dict({"variants": [{"tau2": 0.1}]})
 
     def test_budget_must_be_single_mode(self):
         with pytest.raises(ConfigError):
@@ -215,6 +217,40 @@ class TestSummarize:
         assert iter_lines[0] == "k,admm(0.1,0.1),gd,iadmm(0.1,0.1)"
         assert len(iter_lines) == 17  # header + initial record + 15 iterations
 
+    def test_plot_time_values_from_known_traces(self, tmp_path):
+        # two trials of one algorithm on the grid 0.99 * j / 99; a row of the
+        # first lands on grid point 10, the second starts after grid point 0
+        header = "k,time_s,objective,aug_lagrangian,lyapunov,feas,stat_x_max,stat_y,dx,dy,domega"
+        traces = {
+            "a.csv": [(0.0, 10.0), (0.99 * 10 / 99.0, 6.0), (0.505, 2.0)],
+            "b.csv": [(0.205, 8.0), (0.305, 4.0), (0.605, 0.0)],
+        }
+        for name, rows in traces.items():
+            lines = [header] + [f"{k},{t!r},{obj!r},0,0,0,0,0,0,0,0"
+                                for k, (t, obj) in enumerate(rows)]
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        manifest = {
+            "config": {"budget": {"seconds": 0.99}, "master_seed": 0},
+            "runs": [{"file": name, "algorithm": "algo", "m": 3, "n": 2}
+                     for name in traces],
+        }
+        (tmp_path / "runs_manifest.json").write_text(json.dumps(manifest))
+        _, paths = summarize(tmp_path)
+
+        def carried(rows, t):
+            return ([obj for s, obj in rows if s <= t] or [rows[0][1]])[-1]
+
+        lines = paths[(3, 2)]["time"].read_text().splitlines()
+        assert lines[0] == "time_s,algo"
+        assert len(lines) == 101
+        seen = set()
+        for line in lines[1:]:
+            t, value = map(float, line.split(","))
+            want = (carried(traces["a.csv"], t) + carried(traces["b.csv"], t)) / 2
+            assert value == want
+            seen.add(value)
+        assert seen == {9.0, 7.0, 5.0, 3.0, 1.0}
+
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             summarize(tmp_path)
@@ -264,6 +300,12 @@ class TestCli:
                   "--budget-iters", "4"])
         manifest = json.loads((out / "runs_manifest.json").read_text())
         assert manifest["runs"][0]["iterations"] == 4
+
+    def test_budget_flags_are_exclusive(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(tmp_path / "cfg.json"), "--out",
+                      str(tmp_path / "out"), "--budget-iters", "4", "--budget-secs", "1"])
+        assert exc.value.code == 2
 
     def test_gen_data(self, tmp_path):
         out = tmp_path / "y.txt"

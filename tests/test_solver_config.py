@@ -63,7 +63,7 @@ class TestScalarConditions:
 
     def test_kappa_margin_rejected(self):
         with pytest.raises(ConfigError, match="kappa_margin"):
-            validate_config(cfg(kappa_rule="inflated", kappa_margin=1.0), roomy_problem())
+            validate_config(cfg(kappa_margin=1.0), roomy_problem())
 
     def test_per_block_length_mismatch(self):
         with pytest.raises(ConfigError, match="per-block"):

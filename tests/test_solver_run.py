@@ -122,8 +122,9 @@ class TestRunInvariants:
                    prev.x, prev.y, prev.omega)
         # the one-step continuation reproduces iteration 9's lyapunov column
         state = IterateState(
-            x=cont.x, x_prev=prev.x, y=cont.y, y_prev=prev.y,
-            omega=cont.omega, omega_prev=prev.omega, k=9,
+            x=cont.x, dx=[a - b for a, b in zip(cont.x, prev.x)],
+            y=cont.y, dy=cont.y - prev.y,
+            omega=cont.omega, domega=cont.omega - prev.omega, k=9,
         )
         state.eta = list(cont.trace[1].eta)
         al = augmented_lagrangian(p, state.x, state.y, state.omega, cfg.beta)
@@ -138,8 +139,9 @@ class TestRunInvariants:
         x = BlockVector([u0, v0])
         w = u0 @ v0
         omega = np.full((10, 8), 0.3)
-        state = IterateState(x=x, x_prev=x.copy(), y=w, y_prev=w.copy(),
-                             omega=omega, omega_prev=omega.copy(), k=1)
+        state = IterateState(x=x, dx=[np.zeros_like(b) for b in x], y=w,
+                             dy=np.zeros_like(w), omega=omega,
+                             domega=np.zeros_like(omega), k=1)
         state.eta = [1.0, 1.0]
         want = augmented_lagrangian(p, x, w, omega, 2.0)
         assert lyapunov_value(p, cfg, consts, state, want) == pytest.approx(want, rel=1e-14)
@@ -149,8 +151,9 @@ class TestRunInvariants:
         cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9)
         consts = validate_config(cfg, p)
         x = BlockVector([u0, v0])
-        state = IterateState(x=x, x_prev=x, y=u0 @ v0, y_prev=u0 @ v0,
-                             omega=np.zeros((10, 8)), omega_prev=np.zeros((10, 8)))
+        state = IterateState(x=x, dx=[np.zeros_like(b) for b in x], y=u0 @ v0,
+                             dy=np.zeros((10, 8)), omega=np.zeros((10, 8)),
+                             domega=np.zeros((10, 8)))
         al = augmented_lagrangian(p, x, state.y, state.omega, cfg.beta)
         with pytest.raises(ConfigError):
             lyapunov_value(p, cfg, consts, state, al)
@@ -166,24 +169,38 @@ class TestRunInvariants:
 
 
 class TestOracleCalls:
-    def test_calls_per_run_at_check_off(self):
-        # pins the per-run oracle work: one coupling value per block sweep
-        # step, one y gradient per iteration (reused by the next y step)
+    N = 20
+
+    def _counted_run(self, check_level):
+        """Oracle and ``lin_map.apply`` calls of an N-iteration run."""
         inst, p, u0, v0 = small_logmf()
         counts = dict.fromkeys(
             ("y_grad", "y_value", "coupling_value", "coupling_jac_t",
-             "block_penalty_lipschitz", "separable_prox"), 0
+             "block_penalty_lipschitz", "separable_prox", "lin_map.apply"), 0
         )
-        for name in counts:
-            def counted(*args, _fn=getattr(p, name), _name=name):
-                counts[_name] += 1
-                return _fn(*args)
 
-            setattr(p, name, counted)
-        n = 20
-        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=n, check_level="off")
+        def counted(fn, name):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in counts:
+            owner, attr = (p.lin_map, "apply") if name == "lin_map.apply" else (p, name)
+            setattr(owner, attr, counted(getattr(owner, attr), name))
+        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=self.N,
+                           check_level=check_level)
         run(p, cfg, [u0, v0],
             extra_metrics={"model_objective": logmf.model_objective_metric(inst)})
+        return counts
+
+    def test_calls_per_run_at_check_off(self):
+        # pins the per-run oracle work: one coupling value per block sweep
+        # step, one y gradient per iteration (reused by the next y step),
+        # one B y per iteration (shared by the residual and the next sweep)
+        counts = self._counted_run("off")
+        n = self.N
         assert counts == {
             "y_grad": n + 1,
             "y_value": n + 1,
@@ -191,7 +208,35 @@ class TestOracleCalls:
             "coupling_jac_t": 4 * n,
             "block_penalty_lipschitz": 2 * n,
             "separable_prox": 2 * n,
+            "lin_map.apply": n + 2,
         }
+
+    def test_calls_per_run_at_check_full(self):
+        # the sweep-start Lagrangian of the descent check is the recorded one
+        counts = self._counted_run("full")
+        n = self.N
+        assert counts == {
+            "y_grad": 2 * n + 1,
+            "y_value": 4 * n + 1,
+            "coupling_value": 8 * n + 1,
+            "coupling_jac_t": 6 * n,
+            "block_penalty_lipschitz": 2 * n,
+            "separable_prox": 2 * n,
+            "lin_map.apply": 5 * n + 2,
+        }
+
+    def test_recorded_lagrangian_equals_core(self):
+        # the full-level descent check takes its sweep-start value from the record
+        inst, p, u0, v0 = small_logmf()
+        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=self.N, check_level="full")
+
+        def core_al(state):
+            return augmented_lagrangian(p, state.x, state.y, state.omega, cfg.beta)
+
+        res = run(p, cfg, [u0, v0], extra_metrics={"core_al": core_al})
+        assert len(res.trace) == self.N + 1
+        for rec in res.trace:
+            assert rec.aug_lagrangian == rec.extras["core_al"]
 
 
 class TestNonInertialAblation:
