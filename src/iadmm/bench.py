@@ -26,7 +26,7 @@ import statistics
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -47,30 +47,6 @@ from .solver import SolverConfig, read_trace_csv, run, validate_config, write_tr
 
 _SEED_DATA = 0
 _SEED_INIT = 1
-
-_CONFIG_KEYS = {
-    "sizes",
-    "rank",
-    "density",
-    "c",
-    "lambda_row",
-    "lambda_col",
-    "beta",
-    "variants",
-    "include_gd",
-    "datasets_per_size",
-    "inits_per_dataset",
-    "budget",
-    "master_seed",
-    "b1",
-    "b2",
-    "nu",
-    "check_level",
-    "tolerance",
-    "enforce_gate",
-}
-_VARIANT_KEYS = {"tau1", "tau2", "inertial"}
-_BUDGET_KEYS = {"iters", "seconds"}
 
 
 @dataclass(frozen=True)
@@ -150,34 +126,20 @@ class ExperimentConfig:
         )
 
     def echo(self) -> dict:
-        return {
-            "sizes": [list(s) for s in self.sizes],
-            "rank": self.rank,
-            "density": self.density,
-            "c": self.c,
-            "lambda_row": self.lambda_row,
-            "lambda_col": self.lambda_col,
-            "beta": self.beta,
-            "variants": [
-                {"tau1": v.tau1, "tau2": v.tau2, "inertial": v.inertial}
-                for v in self.variants
-            ],
-            "include_gd": self.include_gd,
-            "datasets_per_size": self.datasets_per_size,
-            "inits_per_dataset": self.inits_per_dataset,
-            "budget": (
-                {"iters": self.budget_iters}
-                if self.budget_iters is not None
-                else {"seconds": self.budget_seconds}
-            ),
-            "master_seed": self.master_seed,
-            "b1": self.b1,
-            "b2": self.b2,
-            "nu": self.nu,
-            "check_level": self.check_level,
-            "tolerance": self.tolerance,
-            "enforce_gate": self.enforce_gate,
-        }
+        """The configuration as read by :func:`config_from_dict`."""
+        doc = asdict(self)
+        iters, seconds = doc.pop("budget_iters"), doc.pop("budget_seconds")
+        doc["budget"] = {"iters": iters} if iters is not None else {"seconds": seconds}
+        return doc
+
+
+# the config file's keys: the fields, with the two budget fields read as "budget"
+_CONFIG_KEYS = (
+    {f.name for f in fields(ExperimentConfig)} - {"budget_iters", "budget_seconds"}
+) | {"budget"}
+_BUDGET_KEYS = {"iters", "seconds"}
+_VARIANT_KEYS = {f.name for f in fields(Variant)}
+_REQUIRED_VARIANT_KEYS = {f.name for f in fields(Variant) if f.default is MISSING}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -185,18 +147,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
     kwargs: dict = {}
-    for key in ("rank", "datasets_per_size", "inits_per_dataset", "master_seed"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    for key in ("density", "c", "lambda_row", "lambda_col", "beta", "b1", "b2", "nu",
-                "tolerance"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    for key in ("include_gd", "enforce_gate"):
-        if key in raw:
-            kwargs[key] = bool(raw[key])
-    if "check_level" in raw:
-        kwargs["check_level"] = str(raw["check_level"])
+    # each scalar key is cast to the type of its field's default
+    for f in fields(ExperimentConfig):
+        if f.name in raw and f.name not in ("sizes", "variants"):
+            kwargs[f.name] = type(f.default)(raw[f.name])
     if "sizes" in raw:
         kwargs["sizes"] = tuple((int(m), int(n)) for m, n in raw["sizes"])
     if "variants" in raw:
@@ -205,7 +159,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             unknown_v = set(v) - _VARIANT_KEYS
             if unknown_v:
                 raise ConfigError(f"unknown variant keys: {sorted(unknown_v)}")
-            missing_v = {"tau1", "tau2"} - set(v)
+            missing_v = _REQUIRED_VARIANT_KEYS - set(v)
             if missing_v:
                 raise ConfigError(f"variant misses keys: {sorted(missing_v)}")
             variants.append(

@@ -146,7 +146,7 @@ def _cmd_check(args) -> int:
                 failed += 1
         worst = "nan" if math.isnan(report.worst_violation) else f"{report.worst_violation:.3e}"
         print(f"{status:>12s}  {report.name:<24s} worst {worst}  {fname}")
-        lines.append(json.loads(report.to_json()) | {"file": fname, "advisory": advisory})
+        lines.append(dataclasses.asdict(report) | {"file": fname, "advisory": advisory})
     (out / "checks.json").write_text(
         json.dumps(lines, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

@@ -237,7 +237,6 @@ class ProblemSpec:
     separable_prox: Callable[[int, Array, float], Array] = _identity_prox
     coupled_prox: Optional[Callable] = None
     block_traits: Optional[Callable[[int], BlockTraits]] = None
-    objective_lower_bound: Optional[float] = None
 
     def __post_init__(self):
         self.block_shapes = tuple(tuple(s) for s in self.block_shapes)
@@ -282,17 +281,25 @@ class ProblemSpec:
             )
 
 
-def objective_value(p: ProblemSpec, x: BlockVector, y: Array) -> float:
-    """F(x) + sum_i f_i(x_i) + G(y), +inf if any f_i is +inf."""
+def x_objective_value(p: ProblemSpec, x: BlockVector) -> float:
+    """The x part F(x) + sum_i f_i(x_i) of the objective, +inf if any f_i is +inf."""
     p.check_x(x)
-    p.check_y(np.asarray(y))
     total = p.smooth_value(x.blocks) if p.smooth_value is not None else 0.0
     for i, xi in enumerate(x.blocks):
         fi = p.separable_value(i, xi)
         if math.isinf(fi):
             return math.inf
         total += fi
-    return float(total + p.y_value(y))
+    return float(total)
+
+
+def objective_value(p: ProblemSpec, x: BlockVector, y: Array) -> float:
+    """F(x) + sum_i f_i(x_i) + G(y), +inf if any f_i is +inf."""
+    p.check_y(np.asarray(y))
+    fx = x_objective_value(p, x)
+    if math.isinf(fx):
+        return math.inf
+    return float(fx + p.y_value(y))
 
 
 def constraint_residual(p: ProblemSpec, x: BlockVector, y: Array) -> Array:

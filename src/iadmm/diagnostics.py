@@ -8,7 +8,6 @@ refinement, and the descent checkers only read recorded traces.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -113,18 +112,6 @@ class CheckReport:
     location: Optional[int]
     tolerance: float
     status: str = "passed"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "passed": self.passed,
-                "worst_violation": self.worst_violation,
-                "location": self.location,
-                "tolerance": self.tolerance,
-                "status": self.status,
-            }
-        )
 
 
 def _conclude(name: str, worst: float, location, tol: float) -> CheckReport:

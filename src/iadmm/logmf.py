@@ -303,7 +303,6 @@ def make_problem(inst: LogMfInstance) -> ProblemSpec:
         block_traits=lambda i: BlockTraits(
             coupling_linear=True, separable_convex=True, smooth_convex=True
         ),
-        objective_lower_bound=0.0,
     )
 
 

@@ -1,7 +1,4 @@
-"""Text matrix formats used for instance and factor files.
-
-Dense: first line "rows cols", then one row per line of whitespace-separated
-decimals with 17 significant digits (lossless float64 round-trip).
+"""Text matrix format used for instance files.
 
 Sparse 0/1: first line "rows cols nnz", then one "i j" pair per nonzero,
 0-based row-major order, value implicitly 1.
@@ -12,31 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DimensionError
-
-
-def save_dense(path, matrix: np.ndarray) -> None:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise DimensionError("dense format stores 2-d matrices")
-    rows, cols = m.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{rows} {cols}\n")
-        for row in m:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
-
-
-def load_dense(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise DimensionError("dense file needs a 'rows cols' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    data = tokens[2:]
-    if len(data) != rows * cols:
-        raise DimensionError(
-            f"dense file has {len(data)} values, expected {rows * cols}"
-        )
-    return np.array([float(t) for t in data], dtype=float).reshape(rows, cols)
 
 
 def save_sparse01(path, matrix: np.ndarray) -> None:

@@ -20,9 +20,12 @@ proximal-descent coefficients of consecutive iterations.
 The engine verifies its own behavior while running (``check_level``):
 "cheap" recomputes the multiplier identity, the y-step normal equations and
 each block's first-order optimality from fresh oracle calls every iteration;
-"full" additionally evaluates the augmented Lagrangian around every block
-update and asserts the per-block descent inequality.  Violations raise
-:class:`~iadmm.core.InvariantViolation`.
+"full" additionally asserts the per-block descent inequality and the y-step
+sufficient decrease of the augmented Lagrangian.  Those Lagrangians are
+assembled from values taken once per visited point: the x part of the
+objective and h at each post-update block point, G(y) and B y once per
+sweep, and the objective and h(x) + B y after the y step, which the trace
+record reuses.  Violations raise :class:`~iadmm.core.InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -43,12 +46,13 @@ from .core import (
     InvariantViolation,
     ProblemSpec,
     Residuals,
-    augmented_lagrangian,
+    augmented_lagrangian,  # not called here: perfbench/tracer.py wraps it in this module
     lagrangian_from_parts,
     norm,
     objective_value,
     stationarity_residuals,
     vdot,
+    x_objective_value,
     y_stationarity,
 )
 
@@ -356,7 +360,7 @@ class IterateState:
     completed iteration, zero before the first one.  The solver forms each
     step once, when it accepts the new iterate; the extrapolation, the
     descent check, the trace record and :func:`lyapunov_value` all read it.
-    ``lip``/``kappa``/``alpha``/``gamma``/``eta`` hold the values used by
+    ``lip``/``kappa``/``alpha``/``eta`` hold the values used by
     the same iteration.  ``chi`` stores the separable subgradients
     recovered from the proximal identities.  ``coupling_cur`` holds h(x)
     at the current iterate for metric hooks.
@@ -373,7 +377,6 @@ class IterateState:
     lip: list = field(default_factory=list)
     kappa: list = field(default_factory=list)
     alpha: list = field(default_factory=list)
-    gamma: list = field(default_factory=list)
     eta: list = field(default_factory=list)
     chi: list = field(default_factory=list)
     coupling_cur: Optional[Array] = None
@@ -396,7 +399,6 @@ class TraceRecord:
     domega: float
     alpha: tuple[float, ...] = ()
     eta: tuple[float, ...] = ()
-    gamma: tuple[float, ...] = ()
     extras: dict = field(default_factory=dict)
 
     def row(self) -> dict:
@@ -621,7 +623,9 @@ def run(
     start = time.perf_counter()
     state.coupling_cur = h0
     by = p.lin_map.apply(y)
-    record, _, grad_y = _record(p, cfg, consts, state, h0 + by, start, extra_metrics)
+    record, _, grad_y = _record(
+        p, cfg, consts, state, objective_value(p, x, y), h0 + by, start, extra_metrics
+    )
     trace: list[TraceRecord] = [record]
 
     use_nesterov = r.extrapolation is Extrapolation.NESTEROV
@@ -642,13 +646,15 @@ def run(
         lip_new: list[float] = []
         kappa_new: list[float] = []
         alpha_new: list[float] = []
-        gamma_new: list[float] = []
         eta_new: list[float] = []
         chi_new: list[Array] = []
         dx_new: list[Array] = []
         check_extras: dict[str, float] = {}
-        # the Lagrangian at the sweep's start, as recorded for the current iterate
-        al_before = trace[-1].aug_lagrangian
+        if check is CheckLevel.FULL:
+            # the Lagrangian at the sweep's start, as recorded for the current
+            # iterate, and G(y), which stays fixed during the sweep
+            al_before = trace[-1].aug_lagrangian
+            g_y = p.y_value(state.y)
 
         for i in range(p.s):
             rule = r.update_rule[i]
@@ -694,8 +700,10 @@ def run(
                         f"{res:.3e} exceeds {BLOCK_OPTIMALITY_RTOL * (1.0 + norm(x_new)):.3e}"
                     )
             if check is CheckLevel.FULL:
-                al_after = augmented_lagrangian(
-                    p, BlockVector(_with(blocks, i, x_new)), state.y, state.omega, beta
+                after = _with(blocks, i, x_new)
+                al_after = lagrangian_from_parts(
+                    float(x_objective_value(p, BlockVector(after)) + g_y),
+                    p.coupling_value(after) + by, state.omega, beta,
                 )
                 lhs = al_after + eta * vdot(step, step)
                 rhs = al_before + gamma * vdot(state.dx[i], state.dx[i])
@@ -712,7 +720,6 @@ def run(
             lip_new.append(lip)
             kappa_new.append(kappa)
             alpha_new.append(alpha)
-            gamma_new.append(gamma)
             eta_new.append(eta)
             chi_new.append(chi)
             eta_min[i] = min(eta_min[i], eta)
@@ -730,18 +737,6 @@ def run(
                     f"iteration {it}: y-step optimality residual {res:.3e} exceeds "
                     f"{Y_OPTIMALITY_RTOL * scale:.3e}"
                 )
-        full_extras = {}
-        if check is CheckLevel.FULL:
-            # al_before now holds the Lagrangian after the whole block sweep
-            al_after_y = augmented_lagrangian(p, x_new_vec, y_new, state.omega, beta)
-            lhs = al_after_y + 0.5 * consts.delta * vdot(dy, dy)
-            slack = NSDP_RTOL * (1.0 + abs(al_before))
-            if lhs > al_before + slack:
-                raise InvariantViolation(
-                    f"iteration {it}: y sufficient decrease violated by "
-                    f"{lhs - al_before:.3e} (slack {slack:.3e})"
-                )
-            full_extras = {"al_after_x": al_before, "al_after_y": al_after_y}
         by = p.lin_map.apply(y_new)  # also feeds the next sweep's dual_vec
         residual = h_new + by
         omega_new = update_multiplier(beta, tau1, tau2, state.omega, residual)
@@ -756,23 +751,39 @@ def run(
                     f"{MULTIPLIER_IDENTITY_RTOL * (1.0 + norm(implied)):.3e}"
                 )
 
+        omega_prev = state.omega
         state.x = x_new_vec
         state.dx = dx_new
         state.y = y_new
         state.dy = dy
-        state.domega = omega_new - state.omega
+        state.domega = omega_new - omega_prev
         state.omega = omega_new
         state.k = it + 1
         state.t_prev = t_cur
         state.lip = lip_new
         state.kappa = kappa_new
         state.alpha = alpha_new
-        state.gamma = gamma_new
         state.eta = eta_new
         state.chi = chi_new
         state.coupling_cur = h_new
 
-        record, res, grad_y = _record(p, cfg, consts, state, residual, start, extra_metrics)
+        # evaluated once the previous iterate's arrays are released, so that its
+        # temporaries reuse their memory instead of growing the heap
+        obj = objective_value(p, state.x, state.y)
+        full_extras = {}
+        if check is CheckLevel.FULL:
+            # al_before now holds the Lagrangian after the whole block sweep
+            al_after_y = lagrangian_from_parts(obj, residual, omega_prev, beta)
+            lhs = al_after_y + 0.5 * consts.delta * vdot(dy, dy)
+            slack = NSDP_RTOL * (1.0 + abs(al_before))
+            if lhs > al_before + slack:
+                raise InvariantViolation(
+                    f"iteration {it}: y sufficient decrease violated by "
+                    f"{lhs - al_before:.3e} (slack {slack:.3e})"
+                )
+            full_extras = {"al_after_x": al_before, "al_after_y": al_after_y}
+
+        record, res, grad_y = _record(p, cfg, consts, state, obj, residual, start, extra_metrics)
         record.extras.update(check_extras)
         record.extras.update(full_extras)
         trace.append(record)
@@ -811,18 +822,19 @@ def _record(
     cfg: SolverConfig,
     consts: DerivedConstants,
     state: IterateState,
+    obj: float,
     residual: Array,
     start: float,
     extra_metrics,
 ) -> tuple[TraceRecord, Residuals, Array]:
-    """Build the trace record at the current iterate without re-evaluating h.
+    """Build the trace record at the current iterate without re-evaluating it.
 
-    ``residual`` is h(x) + B y at the current iterate.  Before the first
+    ``obj`` is the objective and ``residual`` is h(x) + B y, both at the
+    current iterate; the record evaluates neither again.  Before the first
     iteration (k = 0) no subgradient exists yet, so stat_x and the Lyapunov
     value are NaN.  Returns the record, its residuals, and the gradient of
     G at y for reuse by the next y step.
     """
-    obj = objective_value(p, state.x, state.y)
     al = lagrangian_from_parts(obj, residual, state.omega, cfg.beta)
     grad_y = p.y_grad(state.y)
     if state.k == 0:
@@ -846,7 +858,6 @@ def _record(
         domega=norm(state.domega),
         alpha=tuple(state.alpha),
         eta=tuple(state.eta),
-        gamma=tuple(state.gamma),
         extras={"omega_norm": norm(state.omega)},
     )
     if extra_metrics:

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +287,9 @@ class TestCli:
         assert any(c["name"] == "lyapunov_descent" and c["status"] == "passed"
                    for c in checks)
         assert any(c["name"] == "y_sufficient_decrease" for c in checks)
+        for c in checks:
+            assert set(c) == {"name", "passed", "worst_violation", "location",
+                              "tolerance", "status", "file", "advisory"}
 
     def test_budget_override(self, tmp_path):
         doc = {
@@ -317,3 +322,21 @@ class TestCli:
             6, 4, 0.5, 11
         )
         np.testing.assert_array_equal(m, direct)
+
+
+class TestBenchmarkContract:
+    """What perfbench/run.py relies on: its wrapped names and a silent grid."""
+
+    def test_traced_names_are_bound(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module_name, targets in tracer.MODULE_TARGETS.items():
+            module = importlib.import_module(module_name)
+            missing = [name for name in targets if not hasattr(module, name)]
+            assert not missing, f"{module_name} lacks {missing}"
+
+    def test_grid_writes_nothing_to_stdout_or_stderr(self, tmp_path, capfd):
+        run_experiment(tiny_config(check_level="full", budget_iters=3), tmp_path, jobs=2)
+        assert capfd.readouterr() == ("", "")

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import iadmm
 from iadmm import logmf
 from iadmm.core import ConfigError
 from iadmm.diagnostics import (
-    CheckReport,
     brute_force_argmin,
     check_descent,
     check_theorem1_residual,
@@ -202,14 +200,6 @@ class TestTheorem1:
 
 
 class TestCheckReport:
-    def test_json_round_trip(self):
-        rep = CheckReport("x", True, 0.5, 3, 1.0, "passed")
-        doc = json.loads(rep.to_json())
-        assert doc == {
-            "name": "x", "passed": True, "worst_violation": 0.5,
-            "location": 3, "tolerance": 1.0, "status": "passed",
-        }
-
     def test_passed_iff_within_tolerance(self):
         trace = [_rec(0, lyap=1.0), _rec(1, lyap=1.0 + 5e-9)]
         rep = check_descent(trace, "lyapunov", 1e-8)

@@ -278,7 +278,3 @@ class TestInstance:
         assert u.shape == (300, 25) and v.shape == (25, 400)
         assert abs(u.std() - 1.0) < 0.05
         assert abs(v.std() - 1.0) < 0.05
-
-    def test_lower_bound_declared_zero(self):
-        inst = logmf.LogMfInstance(y=np.eye(2), rank=1)
-        assert logmf.make_problem(inst).objective_lower_bound == 0.0

@@ -1,41 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from iadmm.core import DimensionError
-from iadmm.matio import load_dense, load_sparse01, save_dense, save_sparse01
-
-
-def test_dense_round_trip_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((3, 5)) * 1e8
-    path = tmp_path / "m.txt"
-    save_dense(path, m)
-    np.testing.assert_array_equal(load_dense(path), m)
-
-
-def test_dense_header(tmp_path):
-    path = tmp_path / "m.txt"
-    save_dense(path, np.zeros((2, 3)))
-    assert path.read_text().splitlines()[0] == "2 3"
-
-
-def test_dense_truncated_rejected(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("2 2\n1.0 2.0 3.0\n")
-    with pytest.raises(DimensionError):
-        load_dense(path)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_dense_random_round_trip(tmp_path_factory, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((2, 2)) * 10.0 ** rng.integers(-12, 12)
-    path = tmp_path_factory.mktemp("d") / "m.txt"
-    save_dense(path, m)
-    np.testing.assert_array_equal(load_dense(path), m)
+from iadmm.matio import load_sparse01, save_sparse01
 
 
 def test_sparse_round_trip(tmp_path):
