@@ -142,6 +142,15 @@ _VARIANT_KEYS = {f.name for f in fields(Variant)}
 _REQUIRED_VARIANT_KEYS = {f.name for f in fields(Variant) if f.default is MISSING}
 
 
+def _cast(key: str, default, value):
+    """``value`` cast to the type of ``default``; a bool field takes only true or false."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
+        return value
+    return type(default)(value)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
@@ -150,7 +159,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     # each scalar key is cast to the type of its field's default
     for f in fields(ExperimentConfig):
         if f.name in raw and f.name not in ("sizes", "variants"):
-            kwargs[f.name] = type(f.default)(raw[f.name])
+            kwargs[f.name] = _cast(f.name, f.default, raw[f.name])
     if "sizes" in raw:
         kwargs["sizes"] = tuple((int(m), int(n)) for m, n in raw["sizes"])
     if "variants" in raw:
@@ -163,7 +172,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if missing_v:
                 raise ConfigError(f"variant misses keys: {sorted(missing_v)}")
             variants.append(
-                Variant(float(v["tau1"]), float(v["tau2"]), bool(v.get("inertial", True)))
+                Variant(
+                    float(v["tau1"]), float(v["tau2"]),
+                    _cast("inertial", True, v.get("inertial", True)),
+                )
             )
         kwargs["variants"] = tuple(variants)
     if "budget" in raw:

@@ -293,13 +293,17 @@ def x_objective_value(p: ProblemSpec, x: BlockVector) -> float:
     return float(total)
 
 
+def objective_from_parts(fx: float, gy: float) -> float:
+    """The objective from its x part ``fx`` and ``gy`` = G(y); +inf if ``fx`` is infinite."""
+    if math.isinf(fx):
+        return math.inf
+    return float(fx + gy)
+
+
 def objective_value(p: ProblemSpec, x: BlockVector, y: Array) -> float:
     """F(x) + sum_i f_i(x_i) + G(y), +inf if any f_i is +inf."""
     p.check_y(np.asarray(y))
-    fx = x_objective_value(p, x)
-    if math.isinf(fx):
-        return math.inf
-    return float(fx + p.y_value(y))
+    return objective_from_parts(x_objective_value(p, x), p.y_value(y))
 
 
 def constraint_residual(p: ProblemSpec, x: BlockVector, y: Array) -> Array:

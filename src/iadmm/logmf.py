@@ -102,27 +102,68 @@ def initial_factors(m: int, n: int, rank: int, seed: int) -> tuple[Array, Array]
     return u, v
 
 
-def softplus(w: Array) -> Array:
-    """log(1 + exp(w)) as max(w, 0) + log1p(exp(-|w|)); safe for |w| > 700."""
+def _exp_neg_abs(w: Array) -> tuple[Array, Array]:
+    """``w`` as a float array, and exp(-|w|) in a fresh buffer (an array even for 0-d ``w``)."""
     w = np.asarray(w, dtype=float)
-    return np.maximum(w, 0.0) + np.log1p(np.exp(-np.abs(w)))
+    t = np.empty_like(w)
+    np.abs(w, out=t)
+    np.negative(t, out=t)
+    return w, np.exp(t, out=t)
+
+
+def softplus(w: Array) -> Array:
+    """log(1 + exp(w)) as max(w, 0) + log1p(exp(-|w|)); safe for |w| > 700.
+
+    Bit for bit the expression ``np.maximum(w, 0.0) + np.log1p(np.exp(-np.abs(w)))``
+    (NaN signs included), formed in two buffers.
+    """
+    w, t = _exp_neg_abs(w)
+    np.log1p(t, out=t)
+    out = np.maximum(w, 0.0)
+    # in place for arrays; for 0-d input ``out`` is a numpy scalar and this
+    # is the scalar addition the unfused expression performed
+    out += t[()]
+    return out
 
 
 def sigmoid(w: Array) -> Array:
-    w = np.asarray(w, dtype=float)
-    t = np.exp(-np.abs(w))
-    return np.where(w >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    """1 / (1 + exp(-w)) without overflow.
+
+    Bit for bit ``np.where(w >= 0, 1 / (1 + t), t / (1 + t))`` with
+    t = exp(-|w|), at +-0, +-inf and NaN too: where w >= 0, t <= 1 and
+    max(t, 1) = 1; elsewhere t >= 0 and max(t, 0) = t.  Always an array.
+    """
+    w, t = _exp_neg_abs(w)
+    den = np.add(1.0, t)
+    np.maximum(t, w >= 0.0, out=t)
+    return np.divide(t, den, out=t)
 
 
 def logistic_loss(w: Array, y: Array, c: float) -> float:
-    """sum (1 + c y - y) softplus(w) - c y w."""
-    weights = 1.0 + (c - 1.0) * y
-    return float(np.sum(weights * softplus(w)) - c * np.sum(y * w))
+    """sum (1 + c y - y) softplus(w) - c y w.
+
+    Bit for bit ``sum((1 + (c - 1) y) * softplus(w)) - c * sum(y * w)``; the
+    weights and y w share one buffer.
+    """
+    w = np.asarray(w, dtype=float)
+    buf = np.multiply(c - 1.0, y, out=np.empty_like(w))
+    np.add(1.0, buf, out=buf)
+    total = np.sum(np.multiply(buf, softplus(w), out=buf))
+    return float(total - c * np.sum(np.multiply(y, w, out=buf)))
 
 
 def logistic_loss_grad(w: Array, y: Array, c: float) -> Array:
-    """Entrywise (1 + c y - y) sigmoid(w) - c y."""
-    return (1.0 + (c - 1.0) * y) * sigmoid(w) - c * y
+    """Entrywise (1 + c y - y) sigmoid(w) - c y.
+
+    Bit for bit ``(1 + (c - 1) y) * sigmoid(w) - c * y``, formed in
+    sigmoid's buffer; the weights and c y share a second one.
+    """
+    g = sigmoid(w)
+    buf = np.multiply(c - 1.0, y, out=np.empty_like(g))
+    np.add(1.0, buf, out=buf)
+    np.multiply(buf, g, out=g)
+    np.subtract(g, np.multiply(c, y, out=buf), out=g)
+    return g[()]
 
 
 def logistic_loss_lipschitz(y: Array, c: float) -> float:
@@ -200,8 +241,15 @@ def gd_step(
     new U with step 1 / (L_G ||U^T U|| + lam_col).  Each step satisfies the
     descent lemma for its block, so the objective cannot increase.
     """
-    lg = logistic_loss_lipschitz(y, c)
     grad_u = logistic_loss_grad(u @ v, y, c) @ v.T + lam_row * u
+    return _gd_step(u, v, grad_u, y, c, lam_row, lam_col, logistic_loss_lipschitz(y, c))
+
+
+def _gd_step(
+    u: Array, v: Array, grad_u: Array, y: Array, c: float, lam_row: float,
+    lam_col: float, lg: float,
+) -> tuple[Array, Array]:
+    """:func:`gd_step` given the U-gradient ``grad_u`` at (u, v) and L_G = ``lg``."""
     u_new = u - grad_u / (lg * gram_spectral_norm(v) + lam_row)
     grad_v = u_new.T @ logistic_loss_grad(u_new @ v, y, c) + lam_col * v
     v_new = v - grad_v / (lg * gram_spectral_norm(u_new) + lam_col)
@@ -220,20 +268,25 @@ def gd_run(
     Splitting-specific columns (aug_lagrangian, lyapunov, feas, ...) are NaN;
     ``objective`` and the extras' ``model_objective`` both carry the
     factor-space objective, and stat_x_max the larger block gradient norm.
+    Each step starts from the U-gradient its preceding record formed at the
+    same point, the expression :func:`gd_step` would evaluate.
     """
     import time
 
     y, c = inst.y, inst.c
+    lg = logistic_loss_lipschitz(y, c)
     u, v = np.asarray(u0, dtype=float).copy(), np.asarray(v0, dtype=float).copy()
     start = time.perf_counter()
     nan = math.nan
 
-    def record(k: int) -> TraceRecord:
+    def record(k: int) -> tuple[TraceRecord, Array]:
         uv = u @ v
         obj = objective(u, v, uv, y, c, inst.lam_row, inst.lam_col)
         g = logistic_loss_grad(uv, y, c)
-        gu = float(np.linalg.norm(g @ v.T + inst.lam_row * u))
+        # grad_u last, so that it is the only gradient alive alongside uv and g
         gv = float(np.linalg.norm(u.T @ g + inst.lam_col * v))
+        grad_u = g @ v.T + inst.lam_row * u
+        gu = float(np.linalg.norm(grad_u))
         return TraceRecord(
             k=k,
             time_s=time.perf_counter() - start,
@@ -247,15 +300,18 @@ def gd_run(
             dy=nan,
             domega=nan,
             extras={"model_objective": obj, "omega_norm": nan},
-        )
+        ), grad_u
 
-    trace = [record(0)]
+    rec, grad_u = record(0)
+    trace = [rec]
     limit = max_iters if max_iters is not None else (1 << 62)
     for k in range(limit):
         if max_seconds is not None and time.perf_counter() - start >= max_seconds:
             break
-        u, v = gd_step(u, v, y, c, inst.lam_row, inst.lam_col)
-        trace.append(record(k + 1))
+        u, v = _gd_step(u, v, grad_u, y, c, inst.lam_row, inst.lam_col, lg)
+        del grad_u  # not held while record(k + 1) forms the next one
+        rec, grad_u = record(k + 1)
+        trace.append(rec)
     return u, v, trace
 
 

@@ -23,9 +23,11 @@ each block's first-order optimality from fresh oracle calls every iteration;
 "full" additionally asserts the per-block descent inequality and the y-step
 sufficient decrease of the augmented Lagrangian.  Those Lagrangians are
 assembled from values taken once per visited point: the x part of the
-objective and h at each post-update block point, G(y) and B y once per
-sweep, and the objective and h(x) + B y after the y step, which the trace
-record reuses.  Violations raise :class:`~iadmm.core.InvariantViolation`.
+objective and h at each post-update block point (the last block's h is
+also the h(x_new) of the y step), B y once per sweep, and the objective
+and h(x) + B y after the y step, which the trace record reuses; G(y) of
+that objective is carried into the next sweep.  Violations raise
+:class:`~iadmm.core.InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from .core import (
     augmented_lagrangian,  # not called here: perfbench/tracer.py wraps it in this module
     lagrangian_from_parts,
     norm,
-    objective_value,
+    objective_from_parts,
+    objective_value,  # not called here either, wrapped the same way
     stationarity_residuals,
     vdot,
     x_objective_value,
@@ -623,9 +626,9 @@ def run(
     start = time.perf_counter()
     state.coupling_cur = h0
     by = p.lin_map.apply(y)
-    record, _, grad_y = _record(
-        p, cfg, consts, state, objective_value(p, x, y), h0 + by, start, extra_metrics
-    )
+    g_y = p.y_value(y)
+    obj = objective_from_parts(x_objective_value(p, x), g_y)
+    record, _, grad_y = _record(p, cfg, consts, state, obj, h0 + by, start, extra_metrics)
     trace: list[TraceRecord] = [record]
 
     use_nesterov = r.extrapolation is Extrapolation.NESTEROV
@@ -652,9 +655,8 @@ def run(
         check_extras: dict[str, float] = {}
         if check is CheckLevel.FULL:
             # the Lagrangian at the sweep's start, as recorded for the current
-            # iterate, and G(y), which stays fixed during the sweep
+            # iterate; g_y = G(y) from the same record stays fixed during the sweep
             al_before = trace[-1].aug_lagrangian
-            g_y = p.y_value(state.y)
 
         for i in range(p.s):
             rule = r.update_rule[i]
@@ -701,9 +703,10 @@ def run(
                     )
             if check is CheckLevel.FULL:
                 after = _with(blocks, i, x_new)
+                h_after = p.coupling_value(after)
                 al_after = lagrangian_from_parts(
-                    float(x_objective_value(p, BlockVector(after)) + g_y),
-                    p.coupling_value(after) + by, state.omega, beta,
+                    objective_from_parts(x_objective_value(p, BlockVector(after)), g_y),
+                    h_after + by, state.omega, beta,
                 )
                 lhs = al_after + eta * vdot(step, step)
                 rhs = al_before + gamma * vdot(state.dx[i], state.dx[i])
@@ -726,8 +729,10 @@ def run(
             eta_max[i] = max(eta_max[i], eta)
 
         x_new_vec = BlockVector(blocks)
-        h_new = p.coupling_value(blocks)
+        # at full, the last block's check already took h at these blocks
+        h_new = h_after if check is CheckLevel.FULL else p.coupling_value(blocks)
         y_new = update_y(p, beta, state.y, grad_y, state.omega, h_new)
+        p.check_y(y_new)  # the linear map's solve_ridge is caller-supplied
         dy = y_new - state.y
         if check in (CheckLevel.CHEAP, CheckLevel.FULL):
             res, scale = y_optimality_residual(p, beta, state.y, y_new, state.omega, h_new)
@@ -768,8 +773,10 @@ def run(
         state.coupling_cur = h_new
 
         # evaluated once the previous iterate's arrays are released, so that its
-        # temporaries reuse their memory instead of growing the heap
-        obj = objective_value(p, state.x, state.y)
+        # temporaries reuse their memory instead of growing the heap; G(y) is
+        # carried into the next sweep's descent checks
+        g_y = p.y_value(state.y)
+        obj = objective_from_parts(x_objective_value(p, state.x), g_y)
         full_extras = {}
         if check is CheckLevel.FULL:
             # al_before now holds the Lagrangian after the whole block sweep

@@ -80,6 +80,25 @@ class TestConfigParsing:
         assert cfg.variants[0].label == "iadmm(0.5,0.5)"
         assert cfg.budget_iters == 3
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_include_gd_must_be_json_bool(self, value):
+        with pytest.raises(ConfigError, match="include_gd"):
+            config_from_dict({"include_gd": value})
+        assert config_from_dict({"include_gd": False}).include_gd is False
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_enforce_gate_must_be_json_bool(self, value):
+        with pytest.raises(ConfigError, match="enforce_gate"):
+            config_from_dict({"enforce_gate": value})
+        assert config_from_dict({"enforce_gate": False}).enforce_gate is False
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_variant_inertial_must_be_json_bool(self, value):
+        with pytest.raises(ConfigError, match="inertial"):
+            config_from_dict({"variants": [{"tau1": 0.5, "tau2": 0.5, "inertial": value}]})
+        cfg = config_from_dict({"variants": [{"tau1": 0.5, "tau2": 0.5, "inertial": False}]})
+        assert cfg.variants[0].inertial is False
+
     def test_labels(self):
         assert Variant(0.1, 0.1, True).label == "iadmm(0.1,0.1)"
         assert Variant(1.0, 1.0, False).label == "admm(1,1)"

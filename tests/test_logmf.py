@@ -97,6 +97,65 @@ class TestLossPieces:
             assert v == pytest.approx(math.log(1.0 + math.exp(w)), rel=1e-12)
 
 
+# the kernels as plain expressions; the fused kernels must reproduce every bit
+def _softplus_ref(w):
+    w = np.asarray(w, dtype=float)
+    return np.maximum(w, 0.0) + np.log1p(np.exp(-np.abs(w)))
+
+
+def _sigmoid_ref(w):
+    w = np.asarray(w, dtype=float)
+    t = np.exp(-np.abs(w))
+    return np.where(w >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def _loss_ref(w, y, c):
+    weights = 1.0 + (c - 1.0) * y
+    return float(np.sum(weights * _softplus_ref(w)) - c * np.sum(y * w))
+
+
+def _loss_grad_ref(w, y, c):
+    return (1.0 + (c - 1.0) * y) * _sigmoid_ref(w) - c * y
+
+
+_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+          710.0, -710.0, 1e-300, -1e-300)
+
+
+def _kernel_inputs():
+    """(w, y) pairs: the edge values and normals at four scales, 2-d and 0-d."""
+    rng = np.random.default_rng(31)
+    grids = [np.array(_EDGES).reshape(2, 5)]
+    grids += [rng.normal(scale=s, size=(40, 30)) for s in (0.1, 3.0, 30.0, 800.0)]
+    pairs = []
+    for w in grids:
+        y = (rng.uniform(size=w.shape) < 0.4).astype(float)
+        pairs.append((w, y))
+        pairs += [(np.array(wi), np.array(yi)) for wi, yi in zip(w.flat[:10], y.flat[:10])]
+    return pairs
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestKernelBits:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1.0, 2.3])
+    def test_kernels_match_plain_expressions(self, c):
+        pairs = _kernel_inputs()
+        assert any(w.ndim == 0 and math.isnan(w) for w, _ in pairs)
+        for w, y in pairs:
+            w0, y0 = w.tobytes(), y.tobytes()
+            _same_bits(logmf.softplus(w), _softplus_ref(w))
+            _same_bits(logmf.sigmoid(w), _sigmoid_ref(w))
+            _same_bits(logmf.logistic_loss(w, y, c), _loss_ref(w, y, c))
+            _same_bits(logmf.logistic_loss_grad(w, y, c), _loss_grad_ref(w, y, c))
+            # the kernels work in place, but never in their inputs
+            assert w.tobytes() == w0 and y.tobytes() == y0
+
+
 class TestObjective:
     def test_zero_point_value(self):
         u = np.zeros((2, 1))
@@ -258,14 +317,35 @@ class TestGdBaseline:
         assert after <= before + 1e-10 * (1.0 + abs(before))
 
     def test_gd_run_trace_and_step_agree(self):
+        # gd_run reuses its records' U-gradients; that must not move a bit
         y = logmf.generate_matrix(6, 5, 0.3, 12)
-        inst = logmf.LogMfInstance(y=y, rank=2)
+        inst = logmf.LogMfInstance(y=y, rank=2, c=1.7)
+        u, v = logmf.initial_factors(6, 5, 2, 13)
+        u_fin, v_fin, trace = logmf.gd_run(u, v, inst, max_iters=5)
+        assert [r.k for r in trace] == [0, 1, 2, 3, 4, 5]
+        for k, rec in enumerate(trace):
+            if k:
+                u, v = logmf.gd_step(u, v, y, 1.7, 0.25, 0.25)
+            assert rec.objective == logmf.objective(u, v, u @ v, y, 1.7, 0.25, 0.25)
+        assert u_fin.tobytes() == u.tobytes()
+        assert v_fin.tobytes() == v.tobytes()
+
+    def test_gd_run_loss_gradients_per_run(self, monkeypatch):
+        # one per record and one per V step: each U step takes its gradient
+        # from the record at the same point
+        calls = []
+        grad = logmf.logistic_loss_grad
+
+        def counted(*args):
+            calls.append(1)
+            return grad(*args)
+
+        monkeypatch.setattr(logmf, "logistic_loss_grad", counted)
+        y = logmf.generate_matrix(6, 5, 0.3, 12)
         u0, v0 = logmf.initial_factors(6, 5, 2, 13)
-        u_fin, v_fin, trace = logmf.gd_run(u0, v0, inst, max_iters=3)
-        assert [r.k for r in trace] == [0, 1, 2, 3]
-        u1, v1 = logmf.gd_step(u0, v0, y, 1.0, 0.25, 0.25)
-        want = logmf.objective(u1, v1, u1 @ v1, y, 1.0, 0.25, 0.25)
-        assert trace[1].objective == pytest.approx(want, rel=1e-12)
+        n = 7
+        logmf.gd_run(u0, v0, logmf.LogMfInstance(y=y, rank=2), max_iters=n)
+        assert len(calls) == 2 * n + 1
 
 
 class TestInstance:

@@ -1,10 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from iadmm import logmf
-from iadmm.core import BlockVector, ConfigError, augmented_lagrangian
+from iadmm.core import (
+    BlockVector,
+    ConfigError,
+    DimensionError,
+    ScaledIdentity,
+    augmented_lagrangian,
+)
 from iadmm.solver import (
     IterateState,
     SolverConfig,
@@ -102,6 +109,19 @@ class TestRunInvariants:
             np.testing.assert_allclose(
                 omega, cfg.tau1 * omega_prev + cfg.tau2 * cfg.beta * residual, rtol=1e-12
             )
+
+    def test_misshaped_y_step_rejected(self):
+        # a caller-supplied map whose ridge solve returns (q, 1) for y of shape (q,)
+        # must raise, not broadcast into a (q, q) step
+        class ColumnRidge(ScaledIdentity):
+            def solve_ridge(self, scale, shift, rhs):
+                return super().solve_ridge(scale, shift, rhs).reshape(-1, 1)
+
+        a_mat, a, b = quadratic_toy()
+        p = dataclasses.replace(toy_problem(a_mat, a, b), lin_map=ColumnRidge(-1.0, (4,)))
+        cfg = SolverConfig(beta=10.0, tau1=1.0, tau2=1.0, max_iters=3, check_level="off")
+        with pytest.raises(DimensionError):
+            run(p, cfg, [np.zeros(4)])
 
     def test_full_checks_pass_on_logmf(self):
         inst, p, u0, v0 = small_logmf()
@@ -222,15 +242,16 @@ class TestOracleCalls:
         }
 
     def test_calls_per_run_at_check_full(self):
-        # the descent checks evaluate each visited point once: G(y) and B y
-        # once per sweep, h once per post-update block point, and the
-        # objective after the y step is shared with the record
+        # the descent checks evaluate each visited point once: B y once per
+        # sweep, h once per post-update block point (the last one shared with
+        # the y step), and the objective after the y step is shared with the
+        # record, whose G(y) is carried into the next sweep
         counts = self._counted_run("full")
         n = self.N
         assert counts == {
             "y_grad": 2 * n + 1,
-            "y_value": 2 * n + 1,
-            "coupling_value": 7 * n + 1,
+            "y_value": n + 1,
+            "coupling_value": 6 * n + 1,
             "coupling_jac_t": 6 * n,
             "block_penalty_lipschitz": 2 * n,
             "separable_prox": 2 * n,
