@@ -80,25 +80,26 @@ def _cmd_run(args) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     summary = run_experiment(cfg, args.out, jobs=max(1, args.jobs))
-    for row in summary["rows"]:
-        print(
-            f"{row['algorithm']:>16s} ({row['m']},{row['n']}): "
-            f"mean {row['mean']:.6g} std {row['std']:.4g} over {row['n_trials']} trials"
-        )
+    _print_rows(summary)
     print(f"summary written to {Path(args.out) / 'summary.json'}")
     return 0
 
 
 def _cmd_summarize(args) -> int:
     summary, plots = summarize(args.out)
+    _print_rows(summary)
+    for size, paths in plots.items():
+        print(f"plot data for {size}: {paths['iters']}, {paths['time']}")
+    return 0
+
+
+def _print_rows(summary: dict) -> None:
+    """One line per summary row: algorithm, size, mean and std over the trials."""
     for row in summary["rows"]:
         print(
             f"{row['algorithm']:>16s} ({row['m']},{row['n']}): "
             f"mean {row['mean']:.6g} std {row['std']:.4g} over {row['n_trials']} trials"
         )
-    for size, paths in plots.items():
-        print(f"plot data for {size}: {paths['iters']}, {paths['time']}")
-    return 0
 
 
 def _cmd_check(args) -> int:

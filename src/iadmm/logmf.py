@@ -220,15 +220,14 @@ def update_col_factors(
 
 
 def update_logits(
-    w: Array, uv: Array, omega: Array, y: Array, c: float, beta: float,
-    lip: float | None = None,
+    w: Array, uv: Array, omega: Array, y: Array, c: float, beta: float
 ) -> Array:
     """Proximal-linearized logit update.
 
     W+ = (L_G W - grad(W) + omega + beta U V) / (beta + L_G) with L_G the
     loss curvature bound; ``uv`` is the freshly updated product.
     """
-    lg = logistic_loss_lipschitz(y, c) if lip is None else lip
+    lg = logistic_loss_lipschitz(y, c)
     return (lg * w - logistic_loss_grad(w, y, c) + omega + beta * uv) / (beta + lg)
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -79,6 +80,8 @@ Y_OPTIMALITY_RTOL = 1e-9
 BLOCK_OPTIMALITY_RTOL = 1e-8
 NSDP_RTOL = 1e-8
 
+# kappa = KAPPA_MARGIN * l_i for blocks that do not admit the exact modulus l_i
+KAPPA_MARGIN = 1.01
 _KAPPA_FLOOR = 1e-12
 
 
@@ -114,14 +117,6 @@ class CheckLevel(str, enum.Enum):
     FULL = "full"
 
 
-def _per_block(value, s: int, caster) -> tuple:
-    if isinstance(value, (list, tuple)):
-        if len(value) != s:
-            raise ConfigError(f"per-block setting needs {s} entries, got {len(value)}")
-        return tuple(caster(v) for v in value)
-    return tuple(caster(value) for _ in range(s))
-
-
 @dataclass
 class SolverConfig:
     """Parameters of one solver run.
@@ -129,11 +124,11 @@ class SolverConfig:
     ``tau1``/``tau2`` scale and step the multiplier update; classical dual
     ascent is tau1 = tau2 = 1.  ``b1`` bounds the extrapolation carry-over,
     ``b2`` the y-step carry-over, ``nu`` splits each block's proximal gap
-    between the descent and carry-over coefficients.  Each block uses the
-    exact proximal modulus kappa = l_i when its :class:`BlockTraits` admit
-    it (linear coupling and a convex subproblem) and kappa = ``kappa_margin``
-    * l_i otherwise; ``kappa_margin`` must exceed 1.  Per-block settings
-    (``nu``, ``update_rule``) accept either a scalar or one entry per block.
+    between the descent and carry-over coefficients.  ``nu`` and
+    ``update_rule`` apply to every block.  Each block uses the exact
+    proximal modulus kappa = l_i when its :class:`BlockTraits` admit it
+    (linear coupling and a convex subproblem) and kappa =
+    :data:`KAPPA_MARGIN` * l_i otherwise.
 
     ``enforce_gate`` controls whether the scalar smoothness inequality
     ``8 C2 L_G^2 <= B2 C3`` rejects the configuration or merely emits a
@@ -146,31 +141,14 @@ class SolverConfig:
     tau2: float = 1.0
     b1: float = 0.9999
     b2: float = 0.5
-    nu: float | Sequence[float] = 0.5
-    kappa_margin: float = 1.01
-    update_rule: str | Sequence[str] = UpdateRule.PENALTY_LINEARIZED
+    nu: float = 0.5
+    update_rule: str = UpdateRule.PENALTY_LINEARIZED
     extrapolation: str = Extrapolation.NESTEROV
     max_iters: Optional[int] = 1000
     max_seconds: Optional[float] = None
     tolerance: float = 0.0
     check_level: str = CheckLevel.CHEAP
     enforce_gate: bool = True
-
-    def resolved(self, s: int) -> "ResolvedConfig":
-        return ResolvedConfig(
-            nu=_per_block(self.nu, s, float),
-            update_rule=_per_block(self.update_rule, s, UpdateRule),
-            extrapolation=Extrapolation(self.extrapolation),
-            check_level=CheckLevel(self.check_level),
-        )
-
-
-@dataclass
-class ResolvedConfig:
-    nu: tuple[float, ...]
-    update_rule: tuple[UpdateRule, ...]
-    extrapolation: Extrapolation
-    check_level: CheckLevel
 
 
 @dataclass(frozen=True)
@@ -197,7 +175,9 @@ def validate_config(cfg: SolverConfig, p: ProblemSpec) -> DerivedConstants:
     condition.  The smoothness gate ``8 C2 L_G^2 <= B2 C3`` (and C3 > 0)
     is downgraded to a warning when ``cfg.enforce_gate`` is False.
     """
-    r = cfg.resolved(p.s)
+    rule = _member(UpdateRule, "update_rule", cfg.update_rule)
+    _member(Extrapolation, "extrapolation", cfg.extrapolation)
+    _member(CheckLevel, "check_level", cfg.check_level)
     beta, tau1, tau2 = cfg.beta, cfg.tau1, cfg.tau2
     if not beta > 0.0:
         raise ConfigError(f"beta must be positive, got {beta}")
@@ -212,17 +192,14 @@ def validate_config(cfg: SolverConfig, p: ProblemSpec) -> DerivedConstants:
         raise ConfigError(f"b1 must lie in (0, 1), got {cfg.b1}")
     if not (0.0 < cfg.b2 < 1.0):
         raise ConfigError(f"b2 must lie in (0, 1), got {cfg.b2}")
-    for i, nu in enumerate(r.nu):
-        if not (0.0 < nu < 1.0):
-            raise ConfigError(f"nu for block {i} must lie in (0, 1), got {nu}")
-    if not cfg.kappa_margin > 1.0:
-        raise ConfigError(f"kappa_margin must exceed 1, got {cfg.kappa_margin}")
+    if not (isinstance(cfg.nu, numbers.Real) and 0.0 < cfg.nu < 1.0):
+        raise ConfigError(f"nu must be one number in (0, 1) for every block, got {cfg.nu!r}")
     if cfg.max_iters is None and cfg.max_seconds is None:
         raise ConfigError("need an iteration or wall-clock budget (or both)")
     if cfg.tolerance < 0.0:
         raise ConfigError(f"tolerance must be >= 0, got {cfg.tolerance}")
     for i in range(p.s):
-        _check_block_rule(p, r, i)
+        _check_block_rule(p, rule, i)
 
     sigma_b = p.lin_map.lambda_min_bbt
     if not sigma_b > 0.0:
@@ -258,8 +235,16 @@ def validate_config(cfg: SolverConfig, p: ProblemSpec) -> DerivedConstants:
     )
 
 
-def _check_block_rule(p: ProblemSpec, r: ResolvedConfig, i: int) -> None:
-    rule = r.update_rule[i]
+def _member(kind: type[enum.Enum], name: str, value) -> enum.Enum:
+    """``value`` as a member of ``kind``; a ConfigError naming ``name`` otherwise."""
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ", ".join(m.value for m in kind)
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}") from None
+
+
+def _check_block_rule(p: ProblemSpec, rule: UpdateRule, i: int) -> None:
     if rule in (UpdateRule.FULLY_LINEARIZED, UpdateRule.PENALTY_EXACT):
         if p.smooth_grad_block is None or p.block_smooth_lipschitz is None:
             raise ConfigError(
@@ -363,9 +348,10 @@ class IterateState:
     completed iteration, zero before the first one.  The solver forms each
     step once, when it accepts the new iterate; the extrapolation, the
     descent check, the trace record and :func:`lyapunov_value` all read it.
-    ``lip``/``kappa``/``alpha``/``eta`` hold the values used by
-    the same iteration.  ``chi`` stores the separable subgradients
-    recovered from the proximal identities.  ``coupling_cur`` holds h(x)
+    ``lip``/``kappa``/``alpha``/``eta`` hold the values used by the same
+    iteration; ``run`` starts ``lip`` and ``kappa`` at None per block, as no
+    modulus exists before the first sweep.  ``chi`` stores the separable
+    subgradients recovered from the proximal identities.  ``coupling_cur`` holds h(x)
     at the current iterate for metric hooks.
     """
 
@@ -542,7 +528,14 @@ def _block_optimality_residual(
     beta: float,
     kappa: float,
 ) -> float:
-    """Recompute the subproblem's first-order residual from fresh oracle calls."""
+    """Recompute the subproblem's first-order residual from fresh oracle calls.
+
+    The residual is zero by construction under all three rules, since
+    ``chi`` is defined by the same identity.  It is nonzero only when an
+    oracle answers the same arguments differently, which breaks the
+    determinism contract of :class:`~iadmm.core.ProblemSpec`; a wrong prox
+    passes (a ``separable_prox`` scaled by 0.9 leaves it near 1e-15).
+    """
     if rule is UpdateRule.PENALTY_EXACT:
         pen = _penalty_grad(p, i, _with(blocks, i, x_new), dual_vec, beta)
         lin = p.smooth_grad_block(i, _with(blocks, i, xbar))
@@ -582,6 +575,25 @@ def update_multiplier(
     return tau1 * omega + tau2 * beta * residual
 
 
+def _check_residual(
+    extras: dict, key: str, rel: float, exceeded: bool, where: str, res: float, bound: float
+) -> None:
+    """Store the relative residual ``rel`` as ``extras[key]``; raise if ``exceeded``.
+
+    The message states the absolute residual ``res`` against its ``bound``.
+    """
+    extras[key] = rel
+    if exceeded:
+        raise InvariantViolation(f"{where} residual {res:.3e} exceeds {bound:.3e}")
+
+
+def _check_descent(lhs: float, rhs: float, ref: float, where: str) -> None:
+    """Raise unless ``lhs <= rhs`` up to the slack NSDP_RTOL * (1 + |ref|)."""
+    slack = NSDP_RTOL * (1.0 + abs(ref))
+    if lhs > rhs + slack:
+        raise InvariantViolation(f"{where} violated by {lhs - rhs:.3e} (slack {slack:.3e})")
+
+
 def run(
     p: ProblemSpec,
     cfg: SolverConfig,
@@ -600,17 +612,15 @@ def run(
     range of the per-block descent coefficients.
     """
     consts = validate_config(cfg, p)
-    r = cfg.resolved(p.s)
-    beta, tau1, tau2 = cfg.beta, cfg.tau1, cfg.tau2
-    check = r.check_level
+    beta, tau1, tau2, nu = cfg.beta, cfg.tau1, cfg.tau2, float(cfg.nu)
+    rule = UpdateRule(cfg.update_rule)
+    check = CheckLevel(cfg.check_level)
+    checked, full = check is not CheckLevel.OFF, check is CheckLevel.FULL
 
     x = x0.copy() if isinstance(x0, BlockVector) else BlockVector(x0)
     p.check_x(x)
     h0 = p.coupling_value(x.blocks)
-    if y0 is None:
-        y = _feasible_y(p, h0)
-    else:
-        y = np.asarray(y0, dtype=float).copy()
+    y = _feasible_y(p, h0) if y0 is None else np.asarray(y0, dtype=float).copy()
     p.check_y(y)
     omega = (
         np.zeros(p.constraint_shape)
@@ -621,17 +631,17 @@ def run(
 
     state = IterateState(
         x=x, dx=[np.zeros_like(b) for b in x.blocks], y=y, dy=np.zeros_like(y),
-        omega=omega, domega=np.zeros_like(omega),
+        omega=omega, domega=np.zeros_like(omega), lip=[None] * p.s, kappa=[None] * p.s,
+        coupling_cur=h0,
     )
     start = time.perf_counter()
-    state.coupling_cur = h0
     by = p.lin_map.apply(y)
     g_y = p.y_value(y)
     obj = objective_from_parts(x_objective_value(p, x), g_y)
     record, _, grad_y = _record(p, cfg, consts, state, obj, h0 + by, start, extra_metrics)
     trace: list[TraceRecord] = [record]
 
-    use_nesterov = r.extrapolation is Extrapolation.NESTEROV
+    use_nesterov = Extrapolation(cfg.extrapolation) is Extrapolation.NESTEROV
     max_iters = cfg.max_iters if cfg.max_iters is not None else (1 << 62)
     eta_min = [math.inf] * p.s
     eta_max = [-math.inf] * p.s
@@ -652,70 +662,52 @@ def run(
         eta_new: list[float] = []
         chi_new: list[Array] = []
         dx_new: list[Array] = []
-        check_extras: dict[str, float] = {}
-        if check is CheckLevel.FULL:
+        extras: dict[str, float] = {}
+        if full:
             # the Lagrangian at the sweep's start, as recorded for the current
             # iterate; g_y = G(y) from the same record stays fixed during the sweep
             al_before = trace[-1].aug_lagrangian
 
         for i in range(p.s):
-            rule = r.update_rule[i]
             exact = _exact_kappa_ok(rule, p.traits(i))
             lip = _block_modulus(p, rule, beta, i, blocks)
             if lip < 0.0:
                 raise ConfigError(f"block {i}: negative Lipschitz modulus {lip}")
-            kappa = max(lip, _KAPPA_FLOOR) if exact else max(cfg.kappa_margin * lip, _KAPPA_FLOOR)
-
-            if use_nesterov and state.lip:
-                alpha = extrapolation_weight(
-                    state.t_prev,
-                    t_cur,
-                    cfg.b1,
-                    r.nu[i],
-                    exact,
-                    state.lip[i],
-                    state.kappa[i],
-                    lip,
-                    kappa,
-                )
-            else:
-                alpha = 0.0
+            kappa = max(lip if exact else KAPPA_MARGIN * lip, _KAPPA_FLOOR)
+            # 0 without momentum (t stays 1) and on the first iteration (no modulus yet)
+            alpha = extrapolation_weight(
+                state.t_prev, t_cur, cfg.b1, nu, exact, state.lip[i], state.kappa[i], lip, kappa
+            )
             xbar = blocks[i] + alpha * state.dx[i]
 
             x_new, chi = update_block(p, rule, i, blocks, xbar, dual_vec, beta, kappa)
             step = x_new - blocks[i]
-            eta, gamma = _descent_coefficients(
-                rule, exact, beta, r.nu[i], lip, kappa, alpha
-            )
+            eta, gamma = _descent_coefficients(rule, exact, beta, nu, lip, kappa, alpha)
 
-            if check in (CheckLevel.CHEAP, CheckLevel.FULL):
+            if checked:
                 res = _block_optimality_residual(
                     p, rule, i, blocks, xbar, x_new, chi, dual_vec, beta, kappa
                 )
-                rel = res / (1.0 + norm(x_new))
-                check_extras["block_opt_rel"] = max(
-                    check_extras.get("block_opt_rel", 0.0), rel
+                scale = 1.0 + norm(x_new)
+                rel = res / scale
+                _check_residual(
+                    extras, "block_opt_rel", max(extras.get("block_opt_rel", 0.0), rel),
+                    rel > BLOCK_OPTIMALITY_RTOL,
+                    f"iteration {it}, block {i}: subproblem optimality",
+                    res, BLOCK_OPTIMALITY_RTOL * scale,
                 )
-                if rel > BLOCK_OPTIMALITY_RTOL:
-                    raise InvariantViolation(
-                        f"iteration {it}, block {i}: subproblem optimality residual "
-                        f"{res:.3e} exceeds {BLOCK_OPTIMALITY_RTOL * (1.0 + norm(x_new)):.3e}"
-                    )
-            if check is CheckLevel.FULL:
+            if full:
                 after = _with(blocks, i, x_new)
                 h_after = p.coupling_value(after)
                 al_after = lagrangian_from_parts(
                     objective_from_parts(x_objective_value(p, BlockVector(after)), g_y),
                     h_after + by, state.omega, beta,
                 )
-                lhs = al_after + eta * vdot(step, step)
-                rhs = al_before + gamma * vdot(state.dx[i], state.dx[i])
-                slack = NSDP_RTOL * (1.0 + abs(al_before))
-                if lhs > rhs + slack:
-                    raise InvariantViolation(
-                        f"iteration {it}, block {i}: descent inequality violated by "
-                        f"{lhs - rhs:.3e} (slack {slack:.3e})"
-                    )
+                _check_descent(
+                    al_after + eta * vdot(step, step),
+                    al_before + gamma * vdot(state.dx[i], state.dx[i]),
+                    al_before, f"iteration {it}, block {i}: descent inequality",
+                )
                 al_before = al_after
 
             blocks[i] = x_new
@@ -728,36 +720,32 @@ def run(
             eta_min[i] = min(eta_min[i], eta)
             eta_max[i] = max(eta_max[i], eta)
 
-        x_new_vec = BlockVector(blocks)
         # at full, the last block's check already took h at these blocks
-        h_new = h_after if check is CheckLevel.FULL else p.coupling_value(blocks)
+        h_new = h_after if full else p.coupling_value(blocks)
         y_new = update_y(p, beta, state.y, grad_y, state.omega, h_new)
         p.check_y(y_new)  # the linear map's solve_ridge is caller-supplied
         dy = y_new - state.y
-        if check in (CheckLevel.CHEAP, CheckLevel.FULL):
+        if checked:
             res, scale = y_optimality_residual(p, beta, state.y, y_new, state.omega, h_new)
-            check_extras["y_opt_rel"] = res / scale
-            if res > Y_OPTIMALITY_RTOL * scale:
-                raise InvariantViolation(
-                    f"iteration {it}: y-step optimality residual {res:.3e} exceeds "
-                    f"{Y_OPTIMALITY_RTOL * scale:.3e}"
-                )
+            _check_residual(
+                extras, "y_opt_rel", res / scale, res > Y_OPTIMALITY_RTOL * scale,
+                f"iteration {it}: y-step optimality", res, Y_OPTIMALITY_RTOL * scale,
+            )
         by = p.lin_map.apply(y_new)  # also feeds the next sweep's dual_vec
         residual = h_new + by
         omega_new = update_multiplier(beta, tau1, tau2, state.omega, residual)
-        if check in (CheckLevel.CHEAP, CheckLevel.FULL):
+        if checked:
             implied = (omega_new - tau1 * state.omega) / (tau2 * beta)
             err = norm(implied - residual)
-            rel = err / (1.0 + norm(implied))
-            check_extras["mult_identity_rel"] = rel
-            if rel > MULTIPLIER_IDENTITY_RTOL:
-                raise InvariantViolation(
-                    f"iteration {it}: multiplier identity residual {err:.3e} exceeds "
-                    f"{MULTIPLIER_IDENTITY_RTOL * (1.0 + norm(implied)):.3e}"
-                )
+            scale = 1.0 + norm(implied)
+            rel = err / scale
+            _check_residual(
+                extras, "mult_identity_rel", rel, rel > MULTIPLIER_IDENTITY_RTOL,
+                f"iteration {it}: multiplier identity", err, MULTIPLIER_IDENTITY_RTOL * scale,
+            )
 
         omega_prev = state.omega
-        state.x = x_new_vec
+        state.x = BlockVector(blocks)
         state.dx = dx_new
         state.y = y_new
         state.dy = dy
@@ -777,22 +765,17 @@ def run(
         # carried into the next sweep's descent checks
         g_y = p.y_value(state.y)
         obj = objective_from_parts(x_objective_value(p, state.x), g_y)
-        full_extras = {}
-        if check is CheckLevel.FULL:
+        if full:
             # al_before now holds the Lagrangian after the whole block sweep
             al_after_y = lagrangian_from_parts(obj, residual, omega_prev, beta)
-            lhs = al_after_y + 0.5 * consts.delta * vdot(dy, dy)
-            slack = NSDP_RTOL * (1.0 + abs(al_before))
-            if lhs > al_before + slack:
-                raise InvariantViolation(
-                    f"iteration {it}: y sufficient decrease violated by "
-                    f"{lhs - al_before:.3e} (slack {slack:.3e})"
-                )
-            full_extras = {"al_after_x": al_before, "al_after_y": al_after_y}
+            _check_descent(
+                al_after_y + 0.5 * consts.delta * vdot(dy, dy), al_before, al_before,
+                f"iteration {it}: y sufficient decrease",
+            )
+            extras.update(al_after_x=al_before, al_after_y=al_after_y)
 
         record, res, grad_y = _record(p, cfg, consts, state, obj, residual, start, extra_metrics)
-        record.extras.update(check_extras)
-        record.extras.update(full_extras)
+        record.extras.update(extras)
         trace.append(record)
 
         if cfg.tolerance > 0.0 and res.max_residual <= cfg.tolerance:

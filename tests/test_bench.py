@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,13 @@ class TestRunExperiment:
             run_experiment(cfg, tmp_path / "out")
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    def test_unknown_check_level_aborts_before_running(self, tmp_path):
+        cfg = config_from_dict({"sizes": [[10, 8]], "rank": 2, "check_level": "bogus",
+                                "budget": {"iters": 3}})
+        with pytest.raises(ConfigError, match="check_level"):
+            run_experiment(cfg, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_gate_relaxation_allows_classical_run(self, tmp_path):
         cfg = tiny_config(variants=(Variant(1.0, 1.0, True),), enforce_gate=False)
         summary = run_experiment(cfg, tmp_path)
@@ -344,7 +353,8 @@ class TestCli:
 
 
 class TestBenchmarkContract:
-    """What perfbench/run.py relies on: its wrapped names and a silent grid."""
+    """What perfbench/run.py relies on: its wrapped names, a silent grid, and a
+    correct, complete result line from one round of its smallest workload."""
 
     def test_traced_names_are_bound(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -359,3 +369,19 @@ class TestBenchmarkContract:
     def test_grid_writes_nothing_to_stdout_or_stderr(self, tmp_path, capfd):
         run_experiment(tiny_config(check_level="full", budget_iters=3), tmp_path, jobs=2)
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("trace,section", [(0, "end_to_end"), (1, "per_layer")])
+    def test_one_round_reports_every_metric(self, trace, section):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", "small-many", "--seed", "1",
+             "--seconds", "0", "--trace", str(trace)],  # --seconds 0: one round
+            cwd=root, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, proc.stderr[-4000:]
+        declared = json.loads((root / "BENCHMARK.json").read_text())[section]
+        assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)
+        absent = [name for name, m in result["metrics"].items() if m.get("absent")]
+        assert not absent

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from iadmm import logmf
 from iadmm.core import ConfigError
-from iadmm.solver import SolverConfig, validate_config
+from iadmm.solver import SolverConfig, run, validate_config
 
 from toys import quadratic_toy, toy_problem
 
@@ -61,13 +61,23 @@ class TestScalarConditions:
         with pytest.raises(ConfigError, match="nu"):
             validate_config(cfg(nu=1.0), roomy_problem())
 
-    def test_kappa_margin_rejected(self):
-        with pytest.raises(ConfigError, match="kappa_margin"):
-            validate_config(cfg(kappa_margin=1.0), roomy_problem())
-
     def test_per_block_length_mismatch(self):
-        with pytest.raises(ConfigError, match="per-block"):
+        with pytest.raises(ConfigError, match="nu"):
             validate_config(cfg(nu=(0.5, 0.5)), roomy_problem())
+
+    @pytest.mark.parametrize("field", ["check_level", "extrapolation", "update_rule"])
+    def test_unknown_enum_value_named(self, field):
+        seen = []
+        with pytest.raises(ConfigError, match=field):
+            run(roomy_problem(), cfg(**{field: "bogus"}), [np.zeros(4)],
+                extra_metrics={"seen": lambda state: seen.append(state) or 0.0})
+        assert not seen  # raised before the first trace record
+
+    @pytest.mark.parametrize("field,value", [("nu", [0.5]), ("update_rule", ["penalty_linearized"])])
+    def test_sequence_setting_rejected(self, field, value):
+        # one entry per block (the toy has one block) is still not a setting
+        with pytest.raises(ConfigError, match=field):
+            validate_config(cfg(**{field: value}), roomy_problem())
 
     def test_missing_budget_rejected(self):
         with pytest.raises(ConfigError, match="budget"):

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from iadmm import logmf
+from iadmm import logmf, solver
 from iadmm.core import (
     BlockVector,
     ConfigError,
     DimensionError,
+    InvariantViolation,
     ScaledIdentity,
     augmented_lagrangian,
 )
@@ -196,6 +197,80 @@ class TestRunInvariants:
         r2 = run(p, cfg, [u0, v0])
         assert [rec.objective for rec in r1.trace] == [rec.objective for rec in r2.trace]
         assert [rec.lyapunov for rec in r1.trace] == [rec.lyapunov for rec in r2.trace]
+
+
+class TestInvariantsFire:
+    """Each runtime invariant raises on a fault that only it can see.
+
+    Every fault acts on the toy (beta = 10, tau1 = tau2 = 0.5).  Each test
+    first runs the fault one check level lower, where nothing may fire, and
+    then pins the message shape of the check it fires.
+    """
+
+    @staticmethod
+    def _run(p, check_level, **kw):
+        cfg = SolverConfig(beta=10.0, tau1=0.5, tau2=0.5, max_iters=20,
+                           check_level=check_level, **kw)
+        return run(p, cfg, [np.zeros(4)])
+
+    def test_block_optimality(self):
+        # an oracle that answers the same arguments differently on every second call
+        p = toy_problem(*quadratic_toy())
+        jac_t, calls = p.coupling_jac_t, []
+
+        def skewed(i, blocks, r):
+            calls.append(None)
+            return jac_t(i, blocks, r) * (1.0 + 1e-6 * (len(calls) % 2 == 0))
+
+        p = dataclasses.replace(p, coupling_jac_t=skewed)
+        self._run(p, "off")
+        with pytest.raises(InvariantViolation, match=(
+            r"^iteration \d+, block 0: subproblem optimality residual \S+ exceeds \S+$"
+        )):
+            self._run(p, "cheap")
+
+    def test_block_descent(self):
+        # a block modulus ten times too small breaks the per-block descent
+        p = toy_problem(*quadratic_toy())
+        lip = p.block_penalty_lipschitz
+        p = dataclasses.replace(p, block_penalty_lipschitz=lambda i, b: 0.1 * lip(i, b))
+        self._run(p, "cheap")
+        with pytest.raises(InvariantViolation, match=(
+            r"^iteration \d+, block 0: descent inequality violated by \S+ \(slack \S+\)$"
+        )):
+            self._run(p, "full")
+
+    def test_y_step_optimality(self):
+        class SkewedRidge(ScaledIdentity):
+            def solve_ridge(self, scale, shift, rhs):
+                return super().solve_ridge(scale, shift, rhs) * (1.0 + 1e-6)
+
+        p = dataclasses.replace(toy_problem(*quadratic_toy()), lin_map=SkewedRidge(-1.0, (4,)))
+        self._run(p, "off")
+        with pytest.raises(InvariantViolation, match=(
+            r"^iteration \d+: y-step optimality residual \S+ exceeds \S+$"
+        )):
+            self._run(p, "cheap")
+
+    def test_multiplier_identity(self, monkeypatch):
+        step = solver.update_multiplier
+        monkeypatch.setattr(solver, "update_multiplier",
+                            lambda *args: step(*args) * (1.0 + 1e-6))
+        p = toy_problem(*quadratic_toy())
+        self._run(p, "off")
+        with pytest.raises(InvariantViolation, match=(
+            r"^iteration \d+: multiplier identity residual \S+ exceeds \S+$"
+        )):
+            self._run(p, "cheap")
+
+    def test_y_sufficient_decrease(self):
+        # L_G = 0 understates the curvature of G(y) = ||y - b||^2 / 2
+        p = dataclasses.replace(toy_problem(*quadratic_toy()), y_grad_lipschitz=0.0)
+        self._run(p, "cheap", enforce_gate=False)
+        with pytest.raises(InvariantViolation, match=(
+            r"^iteration \d+: y sufficient decrease violated by \S+ \(slack \S+\)$"
+        )):
+            self._run(p, "full", enforce_gate=False)
 
 
 class TestOracleCalls:
