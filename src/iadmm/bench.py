@@ -328,22 +328,26 @@ def _run_cell(cfg: ExperimentConfig, cell: tuple, labels: Sequence[str], out_dir
 def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     """Run the full grid, write traces + manifest + summary + plot data.
 
-    Every variant is validated before any run starts; a validation error
-    aborts the whole experiment.  Cells run one at a time, each on inputs
+    Every variant is validated before the output directory is created; a
+    validation error aborts the whole experiment and leaves no output.
+    The check uses the largest L_G a 0/1 data matrix can have, so it holds
+    for every cell of the grid.  Cells run one at a time, each on inputs
     built once; ``jobs`` > 1 runs a cell's algorithms on a thread pool.
     Every run builds a private problem instance, and the manifest order
     (hence all outputs) is independent of scheduling.  Returns the summary
     document.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # validate all variants up front against a minimal instance
+    # validate all variants up front against a probe whose L_G = max(1, c)/4
+    # is the largest any 0/1 data matrix has; both gate inequalities hold on
+    # an interval [0, r] of L_G, so a variant that passes here passes on every cell
     probe = make_problem(LogMfInstance(
-        y=np.zeros((2, 2)), rank=1, c=cfg.c, lam_row=cfg.lambda_row,
+        y=np.array([[0.0, 1.0]]), rank=1, c=cfg.c, lam_row=cfg.lambda_row,
         lam_col=cfg.lambda_col, beta=cfg.beta,
     ))
     for variant in cfg.variants:
         validate_config(cfg.solver_config(variant), probe)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     labels = [v.label for v in cfg.variants] + (["gd"] if cfg.include_gd else [])
     cells = [
@@ -381,18 +385,16 @@ def summarize(trace_dir) -> tuple[dict, dict]:
     if not runs:
         raise ValueError("manifest lists no runs")
 
-    by_group: dict[tuple[str, int, int], list[dict]] = {}
-    traces: dict[str, list[dict]] = {}
+    # each run's trace, grouped by (algorithm, m, n) in manifest order
+    groups: dict[tuple[str, int, int], list[list[dict]]] = {}
     for meta in runs:
-        rows = read_trace_csv(out / meta["file"])
-        traces[meta["file"]] = rows
         key = (meta["algorithm"], meta["m"], meta["n"])
-        by_group.setdefault(key, []).append(meta)
+        groups.setdefault(key, []).append(read_trace_csv(out / meta["file"]))
 
     summary_rows = []
-    for (algorithm, m, n) in sorted(by_group):
-        finals = [_row_objective(traces[meta["file"]][-1])
-                  for meta in by_group[(algorithm, m, n)]]
+    by_size: dict[tuple[int, int], dict[str, list[list[dict]]]] = {}
+    for (algorithm, m, n), traces in sorted(groups.items()):
+        finals = [_row_objective(rows[-1]) for rows in traces]
         mean = statistics.fmean(finals)
         std = statistics.stdev(finals) if len(finals) > 1 else 0.0
         summary_rows.append(
@@ -405,6 +407,7 @@ def summarize(trace_dir) -> tuple[dict, dict]:
                 "n_trials": len(finals),
             }
         )
+        by_size.setdefault((m, n), {})[algorithm] = traces
     summary = {
         "experiment": manifest["config"],
         "rows": summary_rows,
@@ -415,12 +418,10 @@ def summarize(trace_dir) -> tuple[dict, dict]:
     }
     _atomic_write_text(out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
-    plot_paths: dict[tuple[int, int], dict] = {}
-    budget = manifest["config"].get("budget", {})
-    horizon_cfg = budget.get("seconds")
-    sizes = sorted({(meta["m"], meta["n"]) for meta in runs})
-    for size in sizes:
-        plot_paths[size] = _write_plot_data(out, size, runs, traces, horizon_cfg)
+    horizon_cfg = manifest["config"].get("budget", {}).get("seconds")
+    plot_paths = {
+        size: _write_plot_data(out, size, by_size[size], horizon_cfg) for size in sorted(by_size)
+    }
     return summary, plot_paths
 
 
@@ -429,17 +430,10 @@ def _row_objective(row: dict) -> float:
     return row.get("model_objective", row["objective"])
 
 
-def _write_plot_data(out: Path, size, runs, traces, horizon_cfg=None) -> dict:
+def _write_plot_data(out: Path, size, series: dict, horizon_cfg=None) -> dict:
+    """Write one size's plot CSVs from ``series``, {algorithm: its traces' rows}."""
     m, n = size
-    algos = sorted({meta["algorithm"] for meta in runs if (meta["m"], meta["n"]) == size})
-    series: dict[str, list[list[dict]]] = {
-        algo: [
-            traces[meta["file"]]
-            for meta in runs
-            if meta["algorithm"] == algo and (meta["m"], meta["n"]) == size
-        ]
-        for algo in algos
-    }
+    algos = sorted(series)
 
     # mean objective per iteration index (over the trials that reached it)
     max_k = max(len(rows) for all_rows in series.values() for rows in all_rows)

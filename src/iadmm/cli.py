@@ -5,6 +5,9 @@ Subcommands:
   summarize  recompute summary.json and plot data from stored traces
   check      run the trace-level descent/consistency checks on stored runs
   gen-data   write one random sparse 0/1 data matrix
+
+A configuration error prints one ``iadmm: error: <message>`` line to
+stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .bench import load_config, run_experiment, summarize
+from .core import ConfigError
 from .diagnostics import check_descent, check_theorem1_residual
 from .logmf import generate_matrix
 from .matio import save_sparse01
@@ -36,13 +40,16 @@ def main(argv=None) -> int:
     budget.add_argument("--budget-secs", type=float, default=None)
     p_run.add_argument("--check-level", choices=("off", "cheap", "full"), default=None)
     p_run.add_argument("--jobs", type=int, default=1, help="parallel runs (threads)")
+    p_run.set_defaults(func=_cmd_run)
 
     p_sum = sub.add_parser("summarize", help="recompute summary from stored traces")
     p_sum.add_argument("--out", type=Path, required=True, help="experiment directory")
+    p_sum.set_defaults(func=_cmd_summarize)
 
     p_chk = sub.add_parser("check", help="verify descent invariants on stored traces")
     p_chk.add_argument("--out", type=Path, required=True, help="experiment directory")
     p_chk.add_argument("--tol", type=float, default=1e-8)
+    p_chk.set_defaults(func=_cmd_check)
 
     p_gen = sub.add_parser("gen-data", help="write a random sparse 0/1 matrix")
     p_gen.add_argument("--rows", type=int, required=True)
@@ -50,18 +57,14 @@ def main(argv=None) -> int:
     p_gen.add_argument("--density", type=float, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", type=Path, required=True, help="output file")
+    p_gen.set_defaults(func=_cmd_gen_data)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "summarize":
-        return _cmd_summarize(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "gen-data":
-        return _cmd_gen_data(args)
-    parser.error(f"unknown command {args.command}")
-    return 2
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_run(args) -> int:

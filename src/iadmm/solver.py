@@ -33,6 +33,7 @@ that objective is carried into the next sweep.  Violations raise
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import time
@@ -245,6 +246,13 @@ def _member(kind: type[enum.Enum], name: str, value) -> enum.Enum:
 
 
 def _check_block_rule(p: ProblemSpec, rule: UpdateRule, i: int) -> None:
+    if rule is UpdateRule.PENALTY_LINEARIZED and (
+        p.smooth_value is not None or p.smooth_grad_block is not None
+    ):
+        raise ConfigError(
+            f"block {i}: rule penalty_linearized never reads the smooth term F; "
+            "fold it into separable_prox and leave smooth_value and smooth_grad_block unset"
+        )
     if rule in (UpdateRule.FULLY_LINEARIZED, UpdateRule.PENALTY_EXACT):
         if p.smooth_grad_block is None or p.block_smooth_lipschitz is None:
             raise ConfigError(
@@ -353,6 +361,9 @@ class IterateState:
     modulus exists before the first sweep.  ``chi`` stores the separable
     subgradients recovered from the proximal identities.  ``coupling_cur`` holds h(x)
     at the current iterate for metric hooks.
+
+    ``run`` builds one state per accepted iterate and never changes it
+    afterwards, so a metric hook may keep the state it is given.
     """
 
     x: BlockVector
@@ -643,8 +654,8 @@ def run(
 
     use_nesterov = Extrapolation(cfg.extrapolation) is Extrapolation.NESTEROV
     max_iters = cfg.max_iters if cfg.max_iters is not None else (1 << 62)
-    eta_min = [math.inf] * p.s
-    eta_max = [-math.inf] * p.s
+    # each block's modulus rule depends only on the rule and its declared traits
+    exact = [_exact_kappa_ok(rule, p.traits(i)) for i in range(p.s)]
     stop_reason = "max_iters"
 
     for it in range(max_iters):
@@ -655,13 +666,7 @@ def run(
 
         blocks = list(state.x.blocks)
         dual_vec = state.omega + beta * by
-
-        lip_new: list[float] = []
-        kappa_new: list[float] = []
-        alpha_new: list[float] = []
-        eta_new: list[float] = []
-        chi_new: list[Array] = []
-        dx_new: list[Array] = []
+        sweep = []  # one (step, lip, kappa, alpha, eta, chi) per block
         extras: dict[str, float] = {}
         if full:
             # the Lagrangian at the sweep's start, as recorded for the current
@@ -669,20 +674,21 @@ def run(
             al_before = trace[-1].aug_lagrangian
 
         for i in range(p.s):
-            exact = _exact_kappa_ok(rule, p.traits(i))
             lip = _block_modulus(p, rule, beta, i, blocks)
             if lip < 0.0:
                 raise ConfigError(f"block {i}: negative Lipschitz modulus {lip}")
-            kappa = max(lip if exact else KAPPA_MARGIN * lip, _KAPPA_FLOOR)
+            kappa = max(lip if exact[i] else KAPPA_MARGIN * lip, _KAPPA_FLOOR)
             # 0 without momentum (t stays 1) and on the first iteration (no modulus yet)
             alpha = extrapolation_weight(
-                state.t_prev, t_cur, cfg.b1, nu, exact, state.lip[i], state.kappa[i], lip, kappa
+                state.t_prev, t_cur, cfg.b1, nu, exact[i], state.lip[i], state.kappa[i], lip, kappa
             )
             xbar = blocks[i] + alpha * state.dx[i]
 
             x_new, chi = update_block(p, rule, i, blocks, xbar, dual_vec, beta, kappa)
             step = x_new - blocks[i]
-            eta, gamma = _descent_coefficients(rule, exact, beta, nu, lip, kappa, alpha)
+            blocks[i] = x_new
+            eta, gamma = _descent_coefficients(rule, exact[i], beta, nu, lip, kappa, alpha)
+            sweep.append((step, lip, kappa, alpha, eta, chi))
 
             if checked:
                 res = _block_optimality_residual(
@@ -697,10 +703,9 @@ def run(
                     res, BLOCK_OPTIMALITY_RTOL * scale,
                 )
             if full:
-                after = _with(blocks, i, x_new)
-                h_after = p.coupling_value(after)
+                h_after = p.coupling_value(blocks)
                 al_after = lagrangian_from_parts(
-                    objective_from_parts(x_objective_value(p, BlockVector(after)), g_y),
+                    objective_from_parts(x_objective_value(p, BlockVector(blocks)), g_y),
                     h_after + by, state.omega, beta,
                 )
                 _check_descent(
@@ -709,16 +714,6 @@ def run(
                     al_before, f"iteration {it}, block {i}: descent inequality",
                 )
                 al_before = al_after
-
-            blocks[i] = x_new
-            dx_new.append(step)
-            lip_new.append(lip)
-            kappa_new.append(kappa)
-            alpha_new.append(alpha)
-            eta_new.append(eta)
-            chi_new.append(chi)
-            eta_min[i] = min(eta_min[i], eta)
-            eta_max[i] = max(eta_max[i], eta)
 
         # at full, the last block's check already took h at these blocks
         h_new = h_after if full else p.coupling_value(blocks)
@@ -745,20 +740,12 @@ def run(
             )
 
         omega_prev = state.omega
-        state.x = BlockVector(blocks)
-        state.dx = dx_new
-        state.y = y_new
-        state.dy = dy
-        state.domega = omega_new - omega_prev
-        state.omega = omega_new
-        state.k = it + 1
-        state.t_prev = t_cur
-        state.lip = lip_new
-        state.kappa = kappa_new
-        state.alpha = alpha_new
-        state.eta = eta_new
-        state.chi = chi_new
-        state.coupling_cur = h_new
+        dx, lips, kappas, alphas, etas, chis = map(list, zip(*sweep))
+        state = IterateState(
+            x=BlockVector(blocks), dx=dx, y=y_new, dy=dy, omega=omega_new,
+            domega=omega_new - omega_prev, k=it + 1, t_prev=t_cur, lip=lips, kappa=kappas,
+            alpha=alphas, eta=etas, chi=chis, coupling_cur=h_new,
+        )
 
         # evaluated once the previous iterate's arrays are released, so that its
         # temporaries reuse their memory instead of growing the heap; G(y) is
@@ -783,6 +770,9 @@ def run(
             break
 
     wall = time.perf_counter() - start
+    # a running min/max from +-inf: a run without iterations keeps +-inf, and a
+    # NaN eta never displaces the extreme (min() over a list would return it)
+    eta_by_block = [[rec.eta[i] for rec in trace[1:]] for i in range(p.s)]
     return RunResult(
         x=state.x,
         y=state.y,
@@ -792,8 +782,8 @@ def run(
         stop_reason=stop_reason,
         iterations=state.k,
         wall_time_s=wall,
-        eta_min=tuple(eta_min),
-        eta_max=tuple(eta_max),
+        eta_min=tuple(functools.reduce(min, col, math.inf) for col in eta_by_block),
+        eta_max=tuple(functools.reduce(max, col, -math.inf) for col in eta_by_block),
     )
 
 

@@ -197,7 +197,19 @@ class TestRunExperiment:
                                 "budget": {"iters": 3}})
         with pytest.raises(ConfigError, match="check_level"):
             run_experiment(cfg, tmp_path / "out")
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_gate_checked_for_every_cell_before_output(self, tmp_path):
+        # at c = 2 a cell holding a 1 has L_G = 1/2, which fails the gate for
+        # (0.9, 0.9); an all-zero matrix (L_G = 1/4) lets it pass
+        cfg = config_from_dict({
+            "sizes": [[20, 20]], "rank": 3, "c": 2.0, "beta": 2.0, "b2": 0.9,
+            "variants": [{"tau1": 0.5, "tau2": 0.5}, {"tau1": 0.9, "tau2": 0.9}],
+            "include_gd": True, "budget": {"iters": 30},
+        })
+        with pytest.raises(ConfigError, match="smoothness gate"):
+            run_experiment(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_gate_relaxation_allows_classical_run(self, tmp_path):
         cfg = tiny_config(variants=(Variant(1.0, 1.0, True),), enforce_gate=False)
@@ -333,6 +345,20 @@ class TestCli:
                   "--budget-iters", "4"])
         manifest = json.loads((out / "runs_manifest.json").read_text())
         assert manifest["runs"][0]["iterations"] == 4
+
+    def test_config_error_is_one_line(self, tmp_path, capsys):
+        doc = {"sizes": [[10, 8]], "rank": 2, "check_level": "bogus", "budget": {"iters": 3}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "iadmm: error: check_level must be one of off, cheap, full, got 'bogus'"
+        ]
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_budget_flags_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

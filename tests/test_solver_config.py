@@ -79,6 +79,12 @@ class TestScalarConditions:
         with pytest.raises(ConfigError, match=field):
             validate_config(cfg(**{field: value}), roomy_problem())
 
+    def test_penalty_linearized_rejects_smooth_term(self):
+        # the rule never calls smooth_grad_block, so a declared F would be dropped
+        p = toy_problem(*quadratic_toy(), rule="fully_linearized")
+        with pytest.raises(ConfigError, match="block 0: rule penalty_linearized"):
+            validate_config(cfg(tau1=1.0, tau2=1.0), p)
+
     def test_missing_budget_rejected(self):
         with pytest.raises(ConfigError, match="budget"):
             validate_config(cfg(max_iters=None, max_seconds=None), roomy_problem())

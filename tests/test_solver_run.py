@@ -6,6 +6,7 @@ import pytest
 
 from iadmm import logmf, solver
 from iadmm.core import (
+    BlockTraits,
     BlockVector,
     ConfigError,
     DimensionError,
@@ -13,6 +14,7 @@ from iadmm.core import (
     ScaledIdentity,
     augmented_lagrangian,
 )
+from iadmm.diagnostics import check_descent
 from iadmm.solver import (
     IterateState,
     SolverConfig,
@@ -89,7 +91,63 @@ class TestClassicalMultiplierConvergence:
         assert last.dx < 1e-9 and last.dy < 1e-9 and last.domega < 1e-9
 
 
+class TestInflatedModulus:
+    """Blocks whose traits deny the exact modulus take kappa = KAPPA_MARGIN * l_i."""
+
+    @staticmethod
+    def _run(rule, traits, nu=0.5):
+        p = dataclasses.replace(
+            toy_problem(*quadratic_toy(), rule=rule), block_traits=lambda i: traits
+        )
+        cfg = SolverConfig(beta=10.0, tau1=1.0, tau2=1.0, nu=nu, update_rule=rule,
+                           max_iters=500, check_level="full")
+        return p, run(p, cfg, [np.zeros(4)])
+
+    @pytest.mark.parametrize("rule,traits", [
+        ("penalty_linearized", BlockTraits(True, False, True)),
+        ("fully_linearized", BlockTraits(True, False, True)),
+        ("penalty_exact", BlockTraits(True, False, True)),
+        ("fully_linearized", BlockTraits(True, True, False)),
+        ("penalty_exact", BlockTraits(True, True, False)),
+    ], ids=["pl-nonconvex-f", "fl-nonconvex-f", "pe-nonconvex-f",
+            "fl-nonconvex-F", "pe-nonconvex-F"])
+    def test_full_checks_and_lyapunov_descent(self, rule, traits):
+        p, res = self._run(rule, traits)  # raises on any invariant violation
+        assert not solver._exact_kappa_ok(solver.UpdateRule(rule), p.traits(0))
+        assert res.iterations == 500
+        assert check_descent([rec.row() for rec in res.trace], "lyapunov", 1e-8).passed
+
+    def test_nu_moves_the_iterates(self):
+        # the cap depends on nu (1 - nu), so 0.3 and 0.7 would agree
+        traits = BlockTraits(True, False, True)
+        _, half = self._run("penalty_linearized", traits, nu=0.5)
+        _, other = self._run("penalty_linearized", traits, nu=0.3)
+        assert any(a > 0.0 for rec in half.trace for a in rec.alpha)
+        assert [rec.alpha for rec in half.trace] != [rec.alpha for rec in other.trace]
+        assert not np.array_equal(half.x[0], other.x[0])
+
+
 class TestRunInvariants:
+    def test_hook_states_are_distinct_and_kept(self):
+        _, p, u0, v0 = small_logmf()
+        kept = []
+        res = run(p, SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=6), [u0, v0],
+                  extra_metrics={"keep": lambda state: kept.append(state) or 0.0})
+        assert [state.k for state in kept] == list(range(7))
+        assert len({id(state) for state in kept}) == 7
+        assert kept[-1].x is res.x and kept[-1].y is res.y
+
+    def test_eta_range_read_off_the_trace(self):
+        _, p, u0, v0 = small_logmf()
+        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=0)
+        res = run(p, cfg, [u0, v0])
+        assert res.eta_min == (math.inf, math.inf)
+        assert res.eta_max == (-math.inf, -math.inf)
+        res = run(p, dataclasses.replace(cfg, max_iters=8), [u0, v0])
+        for i in range(2):
+            etas = [rec.eta[i] for rec in res.trace[1:]]
+            assert (res.eta_min[i], res.eta_max[i]) == (min(etas), max(etas))
+
     def test_multiplier_identity_along_trace(self):
         # omega^k = tau1 omega^{k-1} + tau2 beta (h(x^k) + B y^k) for every k >= 1,
         # checked outside the engine (check_level off, so no in-engine check fires)
