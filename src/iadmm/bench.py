@@ -21,12 +21,13 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import math
 import os
 import statistics
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -96,18 +97,21 @@ class ExperimentConfig:
     enforce_gate: bool = True
 
     def __post_init__(self):
-        self.sizes = tuple((int(m), int(n)) for m, n in self.sizes)
-        self.variants = tuple(
-            v if isinstance(v, Variant) else Variant(**v) for v in self.variants
-        )
-        if not self.sizes:
-            raise ConfigError("experiment needs at least one size")
+        if not self.sizes or any(len(size) != 2 or min(size) < 1 for size in self.sizes):
+            raise ConfigError(f"sizes must be [m, n] pairs with m, n >= 1, got {self.sizes}")
         if self.datasets_per_size < 1 or self.inits_per_dataset < 1:
             raise ConfigError("trial counts must be >= 1")
         if not self.variants and not self.include_gd:
             raise ConfigError("experiment needs at least one algorithm")
+        # a label names trace files and summary rows
+        labels = [v.label for v in self.variants]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"variants must have distinct labels, got {labels}")
         if (self.budget_iters is None) == (self.budget_seconds is None):
             raise ConfigError("budget needs exactly one of iters or seconds")
+        budget = self.budget_seconds if self.budget_iters is None else self.budget_iters
+        if budget < 0:
+            raise ConfigError(f"budget must be >= 0, got {budget}")
 
     def solver_config(self, variant: Variant) -> SolverConfig:
         return SolverConfig(
@@ -137,18 +141,27 @@ class ExperimentConfig:
 _CONFIG_KEYS = (
     {f.name for f in fields(ExperimentConfig)} - {"budget_iters", "budget_seconds"}
 ) | {"budget"}
-_BUDGET_KEYS = {"iters", "seconds"}
-_VARIANT_KEYS = {f.name for f in fields(Variant)}
-_REQUIRED_VARIANT_KEYS = {f.name for f in fields(Variant) if f.default is MISSING}
+
+# how an error names the JSON values each field type takes
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _cast(key: str, default, value):
-    """``value`` cast to the type of ``default``; a bool field takes only true or false."""
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} must be true or false, got {value!r}")
-        return value
-    return type(default)(value)
+def _typed(key: str, kind: type, value):
+    """``value`` as a ``kind``, if JSON typed it so (an integer is also a float);
+    a ConfigError naming ``key`` otherwise."""
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)
+            or kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _each(key: str, items, parse) -> tuple:
+    """``parse`` of each of ``items``; a ConfigError naming ``key`` for a wrong shape."""
+    try:
+        return tuple(map(parse, items))
+    except TypeError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -156,41 +169,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
     kwargs: dict = {}
-    # each scalar key is cast to the type of its field's default
+    # each scalar key takes the type of its field's default
     for f in fields(ExperimentConfig):
         if f.name in raw and f.name not in ("sizes", "variants"):
-            kwargs[f.name] = _cast(f.name, f.default, raw[f.name])
+            kwargs[f.name] = _typed(f.name, type(f.default), raw[f.name])
     if "sizes" in raw:
-        kwargs["sizes"] = tuple((int(m), int(n)) for m, n in raw["sizes"])
+        kwargs["sizes"] = _each("sizes", raw["sizes"],
+                                lambda size: tuple(_typed("sizes", int, d) for d in size))
     if "variants" in raw:
-        variants = []
-        for v in raw["variants"]:
-            unknown_v = set(v) - _VARIANT_KEYS
-            if unknown_v:
-                raise ConfigError(f"unknown variant keys: {sorted(unknown_v)}")
-            missing_v = _REQUIRED_VARIANT_KEYS - set(v)
-            if missing_v:
-                raise ConfigError(f"variant misses keys: {sorted(missing_v)}")
-            variants.append(
-                Variant(
-                    float(v["tau1"]), float(v["tau2"]),
-                    _cast("inertial", True, v.get("inertial", True)),
-                )
-            )
-        kwargs["variants"] = tuple(variants)
+        kwargs["variants"] = tuple(
+            Variant(_typed("tau1", float, v.tau1), _typed("tau2", float, v.tau2),
+                    _typed("inertial", bool, v.inertial))
+            for v in _each("variants", raw["variants"], lambda v: Variant(**v))
+        )
     if "budget" in raw:
         budget = raw["budget"]
-        unknown_b = set(budget) - _BUDGET_KEYS
-        if unknown_b:
-            raise ConfigError(f"unknown budget keys: {sorted(unknown_b)}")
-        if len(budget) != 1:
-            raise ConfigError("budget needs exactly one of iters or seconds")
-        if "iters" in budget:
-            kwargs["budget_iters"] = int(budget["iters"])
-            kwargs["budget_seconds"] = None
-        else:
-            kwargs["budget_iters"] = None
-            kwargs["budget_seconds"] = float(budget["seconds"])
+        if not isinstance(budget, dict) or not set(budget) <= {"iters", "seconds"}:
+            raise ConfigError(f"budget takes iters or seconds, got {budget!r}")
+        for key, kind in (("iters", int), ("seconds", float)):
+            kwargs[f"budget_{key}"] = (
+                _typed(f"budget {key}", kind, budget[key]) if key in budget else None)
     return ExperimentConfig(**kwargs)
 
 
@@ -241,16 +239,17 @@ def _trace_name(size, dataset, init, label) -> str:
     return f"trace_{m}x{n}_d{dataset}_i{init}_{safe}.csv"
 
 
-def _run_one(cfg: ExperimentConfig, cell: tuple, inputs: tuple, label: str,
-             out_dir: Path) -> dict:
+def _run_one(cfg: ExperimentConfig, cell: tuple, inputs: tuple,
+             variant: Optional[Variant], out_dir: Path) -> dict:
     """Execute one (cell, algorithm) run and write its trace; returns metadata.
 
-    ``inputs`` is the cell's shared (instance, U0, V0); their hash is taken
-    just before the run starts.
+    ``variant`` None is the gd baseline.  ``inputs`` is the cell's shared
+    (instance, U0, V0); their hash is taken just before the run starts.
     """
     size_idx, dataset, init = cell
     m, n = cfg.sizes[size_idx]
     inst, u0, v0 = inputs
+    label = "gd" if variant is None else variant.label
     meta = {
         "file": _trace_name((m, n), dataset, init, label),
         "algorithm": label,
@@ -261,53 +260,39 @@ def _run_one(cfg: ExperimentConfig, cell: tuple, inputs: tuple, label: str,
         "init": init,
         "input_sha256": _inputs_sha256(inputs),
     }
-    if label == "gd":
-        u_fin, v_fin, trace = gd_run(
-            u0, v0, inst, max_iters=cfg.budget_iters, max_seconds=cfg.budget_seconds
-        )
-        meta.update(
-            {
-                "iterations": trace[-1].k,
-                "final_objective": trace[-1].extras["model_objective"],
-                "stop_reason": "budget",
-            }
-        )
+    if variant is None:
+        *_, trace = gd_run(u0, v0, inst, max_iters=cfg.budget_iters,
+                           max_seconds=cfg.budget_seconds)
+        meta.update(iterations=trace[-1].k, stop_reason="budget")
     else:
-        variant = next(v for v in cfg.variants if v.label == label)
-        scfg = cfg.solver_config(variant)
-        problem = make_problem(inst)
         result = run(
-            problem,
-            scfg,
+            make_problem(inst),
+            cfg.solver_config(variant),
             [u0, v0],
             extra_metrics={"model_objective": model_objective_metric(inst)},
         )
-        trace = result.trace
+        trace, constants = result.trace, result.constants
         meta.update(
-            {
-                "iterations": result.iterations,
-                "final_objective": trace[-1].extras["model_objective"],
-                "stop_reason": result.stop_reason,
-                "tau1": variant.tau1,
-                "tau2": variant.tau2,
-                "inertial": variant.inertial,
-                "beta": cfg.beta,
-                "b1": cfg.b1,
-                "b2": cfg.b2,
-                "delta": result.constants.delta,
-                "c1": result.constants.c1,
-                "c3": result.constants.c3,
-                "gate_warnings": list(result.constants.warnings),
-                "eta_min": list(result.eta_min),
-                "eta_max": list(result.eta_max),
-            }
+            asdict(variant),
+            iterations=result.iterations,
+            stop_reason=result.stop_reason,
+            beta=cfg.beta,
+            b1=cfg.b1,
+            b2=cfg.b2,
+            delta=constants.delta,
+            c1=constants.c1,
+            c3=constants.c3,
+            gate_warnings=list(constants.warnings),
+            eta_min=list(result.eta_min),
+            eta_max=list(result.eta_max),
         )
+    meta["final_objective"] = trace[-1].extras["model_objective"]
     write_trace_csv(out_dir / meta["file"], trace)
     return meta
 
 
-def _run_cell(cfg: ExperimentConfig, cell: tuple, labels: Sequence[str], out_dir: Path,
-              pool) -> list[dict]:
+def _run_cell(cfg: ExperimentConfig, cell: tuple, algorithms: Sequence[Optional[Variant]],
+              out_dir: Path, pool) -> list[dict]:
     """Build one cell's inputs once and run every algorithm on them.
 
     Raises RuntimeError when the runs saw different inputs, including when
@@ -315,10 +300,10 @@ def _run_cell(cfg: ExperimentConfig, cell: tuple, labels: Sequence[str], out_dir
     """
     inputs = _cell_inputs(cfg, *cell)
 
-    def one(label: str) -> dict:
-        return _run_one(cfg, cell, inputs, label, out_dir)
+    def one(variant: Optional[Variant]) -> dict:
+        return _run_one(cfg, cell, inputs, variant, out_dir)
 
-    runs = list(map(one, labels) if pool is None else pool.map(one, labels))
+    runs = list(map(one, algorithms) if pool is None else pool.map(one, algorithms))
     hashes = {meta["input_sha256"] for meta in runs} | {_inputs_sha256(inputs)}
     if len(hashes) != 1:
         raise RuntimeError(f"variants saw different inputs in cell {cell}")
@@ -328,20 +313,23 @@ def _run_cell(cfg: ExperimentConfig, cell: tuple, labels: Sequence[str], out_dir
 def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     """Run the full grid, write traces + manifest + summary + plot data.
 
-    Every variant is validated before the output directory is created; a
-    validation error aborts the whole experiment and leaves no output.
-    The check uses the largest L_G a 0/1 data matrix can have, so it holds
-    for every cell of the grid.  Cells run one at a time, each on inputs
-    built once; ``jobs`` > 1 runs a cell's algorithms on a thread pool.
+    The rank, the density and every variant are validated before the
+    output directory is created; a validation error aborts the whole
+    experiment and leaves no output.  The gate check uses the largest L_G a
+    0/1 data matrix can have, so it holds for every cell of the grid.
+    Cells run one at a time, each on inputs built once; ``jobs`` > 1 runs a
+    cell's algorithms on a thread pool.
     Every run builds a private problem instance, and the manifest order
     (hence all outputs) is independent of scheduling.  Returns the summary
     document.
     """
-    # validate all variants up front against a probe whose L_G = max(1, c)/4
-    # is the largest any 0/1 data matrix has; both gate inequalities hold on
-    # an interval [0, r] of L_G, so a variant that passes here passes on every cell
+    # validate the data and every variant up front: the probe holds the grid's
+    # rank and a data matrix whose L_G = max(1, c)/4 is the largest any 0/1
+    # matrix has; both gate inequalities hold on an interval [0, r] of L_G, so
+    # a variant that passes here passes on every cell
+    generate_matrix(0, 0, cfg.density, 0)
     probe = make_problem(LogMfInstance(
-        y=np.array([[0.0, 1.0]]), rank=1, c=cfg.c, lam_row=cfg.lambda_row,
+        y=np.array([[0.0, 1.0]]), rank=cfg.rank, c=cfg.c, lam_row=cfg.lambda_row,
         lam_col=cfg.lambda_col, beta=cfg.beta,
     ))
     for variant in cfg.variants:
@@ -349,7 +337,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    labels = [v.label for v in cfg.variants] + (["gd"] if cfg.include_gd else [])
+    # None is the gd baseline
+    algorithms = list(cfg.variants) + ([None] if cfg.include_gd else [])
     cells = [
         (size_idx, dataset, init)
         for size_idx in range(len(cfg.sizes))
@@ -357,7 +346,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
         for init in range(cfg.inits_per_dataset)
     ]
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        runs = [meta for cell in cells for meta in _run_cell(cfg, cell, labels, out, pool)]
+        runs = [meta for cell in cells for meta in _run_cell(cfg, cell, algorithms, out, pool)]
 
     manifest = {"config": cfg.echo(), "runs": runs}
     _atomic_write_text(
@@ -377,10 +366,7 @@ def summarize(trace_dir) -> tuple[dict, dict]:
     returns (summary document, {size: {"time": path, "iters": path}}).
     """
     out = Path(trace_dir)
-    manifest_path = out / "runs_manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no runs_manifest.json under {out}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = json.loads((out / "runs_manifest.json").read_text(encoding="utf-8"))
     runs = manifest["runs"]
     if not runs:
         raise ValueError("manifest lists no runs")

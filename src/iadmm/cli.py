@@ -6,8 +6,8 @@ Subcommands:
   check      run the trace-level descent/consistency checks on stored runs
   gen-data   write one random sparse 0/1 data matrix
 
-A configuration error prints one ``iadmm: error: <message>`` line to
-stderr and exits with status 2.
+A configuration error, or a missing or malformed input file, prints one
+``iadmm: error: <message>`` line to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -60,9 +60,11 @@ def main(argv=None) -> int:
     p_gen.set_defaults(func=_cmd_gen_data)
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs < 1:
+        p_run.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 
@@ -82,7 +84,7 @@ def _cmd_run(args) -> int:
         overrides["check_level"] = args.check_level
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    summary = run_experiment(cfg, args.out, jobs=max(1, args.jobs))
+    summary = run_experiment(cfg, args.out, jobs=args.jobs)
     _print_rows(summary)
     print(f"summary written to {Path(args.out) / 'summary.json'}")
     return 0

@@ -105,6 +105,12 @@ class TestConfigParsing:
         assert Variant(0.1, 0.1, True).label == "iadmm(0.1,0.1)"
         assert Variant(1.0, 1.0, False).label == "admm(1,1)"
 
+    @pytest.mark.parametrize("name", ["desk_benchmark.json", "full_table.json"])
+    def test_shipped_config_round_trips(self, name):
+        path = Path(__file__).resolve().parents[1] / "scripts" / name
+        cfg = load_config(path)
+        assert json.loads(json.dumps(cfg.echo())) == json.loads(path.read_text())
+
 
 class TestRunExperiment:
     def test_file_counts(self, tmp_path):
@@ -359,6 +365,85 @@ class TestCli:
         ]
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case,key", [
+        ({"rank": 2.7}, "rank"),
+        ({"sizes": [[10.9, 8]]}, "sizes"),
+        ({"budget": {"iters": 2.9}}, "budget iters"),
+        ({"beta": "1.0"}, "beta"),
+        ({"variants": [{"tau1": "0.1", "tau2": 0.1}]}, "tau1"),
+        ({"lambda_row": float("nan")}, "lambda_row"),
+        ({"budget": {"iters": -2}}, "budget"),
+        ({"rank": "two"}, "rank"),
+        ({"rank": 0}, "rank"),
+        ({"density": 1.5}, "density"),
+        ({"variants": [{"tau1": 0.1, "tau2": 0.1}, {"tau1": 0.1000001, "tau2": 0.1}]},
+         "variants"),
+        ({"sizes": 5}, "sizes"),
+        ({"sizes": [5]}, "sizes"),
+        ({"sizes": [[0, 8]]}, "sizes"),
+    ], ids=["rank-fraction", "size-fraction", "iters-fraction", "beta-string", "tau1-string",
+            "lambda-nan", "iters-negative", "rank-word", "rank-zero", "density-above-1",
+            "labels-equal", "sizes-scalar", "sizes-flat", "size-zero"])
+    def test_malformed_config_is_one_line_before_output(self, tmp_path, capsys, case, key):
+        doc = {"sizes": [[10, 8]], "rank": 2, "density": 0.25, "datasets_per_size": 1,
+               "inits_per_dataset": 1, "budget": {"iters": 3}, **case}
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(config_from_dict(doc), out)
+        assert not out.exists()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("iadmm: error: ") and key in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{tmp}/nope.json", "--out", "{tmp}/out"],
+        ["run", "--config", "{tmp}/broken.json", "--out", "{tmp}/out"],
+        ["check", "--out", "{tmp}/nodir"],
+        ["summarize", "--out", "{tmp}/nodir"],
+    ], ids=["missing-config", "broken-json", "check-nodir", "summarize-nodir"])
+    def test_missing_or_malformed_input_is_one_line(self, tmp_path, capsys, argv):
+        (tmp_path / "broken.json").write_text('{"rank": 2,')
+        assert cli_main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("iadmm: error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sizes": [[8, 6]], "rank": 2, "datasets_per_size": 1,
+                                        "inits_per_dataset": 1, "budget": {"iters": 2}}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                      "--jobs", "0"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_seconds_and_check_level_overrides(self, tmp_path):
+        doc = {
+            "sizes": [[8, 6]], "rank": 2, "density": 0.25,
+            "variants": [{"tau1": 0.1, "tau2": 0.1}], "include_gd": False,
+            "datasets_per_size": 1, "inits_per_dataset": 1,
+            "budget": {"seconds": 2.0}, "master_seed": 1, "check_level": "off",
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert load_config(cfg_path).budget_seconds == 2.0
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "9",
+                         "--budget-secs", "0.05", "--check-level", "cheap"]) == 0
+        manifest = json.loads((out / "runs_manifest.json").read_text())
+        assert manifest["config"]["master_seed"] == 9
+        assert manifest["config"]["budget"] == {"seconds": 0.05}
+        assert manifest["config"]["check_level"] == "cheap"
+        assert [meta["stop_reason"] for meta in manifest["runs"]] == ["max_seconds"]
 
     def test_budget_flags_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
