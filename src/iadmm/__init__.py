@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core import (
     BlockTraits,
-    BlockVector,
     ConfigError,
     DenseMap,
     DimensionError,
@@ -46,7 +45,6 @@ from .solver import (
 __all__ = [
     "__version__",
     "BlockTraits",
-    "BlockVector",
     "ConfigError",
     "DenseMap",
     "DimensionError",

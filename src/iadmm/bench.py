@@ -194,7 +194,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
     return config_from_dict(raw)

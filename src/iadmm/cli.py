@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .bench import load_config, run_experiment, summarize
 from .core import ConfigError
-from .diagnostics import check_descent, check_theorem1_residual
+from .diagnostics import check_descent, check_theorem1_residual, inconclusive
 from .logmf import generate_matrix
 from .matio import save_sparse01
 from .solver import SolverConfig, read_trace_csv
@@ -64,7 +64,8 @@ def main(argv=None) -> int:
         p_run.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            json.JSONDecodeError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 
@@ -118,7 +119,11 @@ def _cmd_check(args) -> int:
         # descent is only guaranteed for runs that passed the smoothness gate
         advisory = bool(meta.get("gate_warnings"))
         rows = read_trace_csv(out / meta["file"])
-        report = check_descent(rows, "lyapunov", args.tol)
+        # a run of 0 or 1 iterations records fewer than two Lyapunov values
+        if sum(math.isfinite(row["lyapunov"]) for row in rows) < 2:
+            report = inconclusive("lyapunov_descent", args.tol)
+        else:
+            report = check_descent(rows, "lyapunov", args.tol)
         reports.append((meta["file"], report, advisory))
         if "al_after_x" in rows[-1]:
             reports.append(

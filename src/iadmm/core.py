@@ -12,8 +12,9 @@ semicontinuous with an accessible proximal map.  Problems are described by
 oracles collected in :class:`ProblemSpec`; the solver never differentiates
 anything itself.
 
-Arrays may carry any shape (matrices are common); inner products and norms
-always act on the flattened data.  All dense data is float64, row-major.
+The primal point x is passed as the sequence of its block arrays.  Arrays
+may carry any shape (matrices are common); inner products and norms always
+act on the flattened data.  All dense data is float64, row-major.
 """
 
 from __future__ import annotations
@@ -45,37 +46,6 @@ def vdot(a: Array, b: Array) -> float:
 
 def norm(a: Array) -> float:
     return float(np.linalg.norm(a.ravel()))
-
-
-class BlockVector:
-    """Ordered list of dense blocks making up the split primal variable."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: Sequence[Array]):
-        self.blocks = tuple(np.asarray(b, dtype=float) for b in blocks)
-        if not self.blocks:
-            raise DimensionError("block vector needs at least one block")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __getitem__(self, i: int) -> Array:
-        return self.blocks[i]
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    @property
-    def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b.shape for b in self.blocks)
-
-    @property
-    def dim(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    def copy(self) -> "BlockVector":
-        return BlockVector([b.copy() for b in self.blocks])
 
 
 class LinearMap:
@@ -264,10 +234,11 @@ class ProblemSpec:
             return BlockTraits()
         return self.block_traits(i)
 
-    def check_x(self, x: BlockVector) -> None:
-        if x.shapes != self.block_shapes:
+    def check_x(self, x: Sequence[Array]) -> None:
+        shapes = tuple(b.shape for b in x)
+        if shapes != self.block_shapes:
             raise DimensionError(
-                f"block shapes {x.shapes} do not match problem {self.block_shapes}"
+                f"block shapes {shapes} do not match problem {self.block_shapes}"
             )
 
     def check_y(self, y: Array) -> None:
@@ -281,11 +252,11 @@ class ProblemSpec:
             )
 
 
-def x_objective_value(p: ProblemSpec, x: BlockVector) -> float:
+def x_objective_value(p: ProblemSpec, x: Sequence[Array]) -> float:
     """The x part F(x) + sum_i f_i(x_i) of the objective, +inf if any f_i is +inf."""
     p.check_x(x)
-    total = p.smooth_value(x.blocks) if p.smooth_value is not None else 0.0
-    for i, xi in enumerate(x.blocks):
+    total = p.smooth_value(x) if p.smooth_value is not None else 0.0
+    for i, xi in enumerate(x):
         fi = p.separable_value(i, xi)
         if math.isinf(fi):
             return math.inf
@@ -300,21 +271,21 @@ def objective_from_parts(fx: float, gy: float) -> float:
     return float(fx + gy)
 
 
-def objective_value(p: ProblemSpec, x: BlockVector, y: Array) -> float:
+def objective_value(p: ProblemSpec, x: Sequence[Array], y: Array) -> float:
     """F(x) + sum_i f_i(x_i) + G(y), +inf if any f_i is +inf."""
     p.check_y(np.asarray(y))
     return objective_from_parts(x_objective_value(p, x), p.y_value(y))
 
 
-def constraint_residual(p: ProblemSpec, x: BlockVector, y: Array) -> Array:
+def constraint_residual(p: ProblemSpec, x: Sequence[Array], y: Array) -> Array:
     """h(x) + B y."""
     p.check_x(x)
     p.check_y(np.asarray(y))
-    return p.coupling_value(x.blocks) + p.lin_map.apply(y)
+    return p.coupling_value(x) + p.lin_map.apply(y)
 
 
 def augmented_lagrangian(
-    p: ProblemSpec, x: BlockVector, y: Array, omega: Array, beta: float
+    p: ProblemSpec, x: Sequence[Array], y: Array, omega: Array, beta: float
 ) -> float:
     """Objective plus <h(x)+By, omega> plus beta/2 ||h(x)+By||^2."""
     if beta <= 0.0:
@@ -358,7 +329,7 @@ def y_stationarity(p: ProblemSpec, grad_y: Array, omega: Array) -> float:
 
 def stationarity_residuals(
     p: ProblemSpec,
-    x: BlockVector,
+    x: Sequence[Array],
     omega: Array,
     chi: Sequence[Array],
     grad_y: Array,
@@ -376,9 +347,9 @@ def stationarity_residuals(
         raise DimensionError("need one subgradient element per block")
     stat_x = []
     for i in range(p.s):
-        g = chi[i] + p.coupling_jac_t(i, x.blocks, omega)
+        g = chi[i] + p.coupling_jac_t(i, x, omega)
         if p.smooth_grad_block is not None:
-            g = g + p.smooth_grad_block(i, x.blocks)
+            g = g + p.smooth_grad_block(i, x)
         stat_x.append(norm(g))
     return Residuals(
         stat_x=tuple(stat_x), stat_y=y_stationarity(p, grad_y, omega), feas=norm(residual)

@@ -126,7 +126,8 @@ def _conclude(name: str, worst: float, location, tol: float) -> CheckReport:
     )
 
 
-def _inconclusive(name: str, tol: float) -> CheckReport:
+def inconclusive(name: str, tol: float) -> CheckReport:
+    """The report of a check whose preconditions the trace does not meet."""
     return CheckReport(
         name=name,
         passed=False,
@@ -215,7 +216,7 @@ def check_theorem1_residual(
     feas = _get(last, "feas")
     stat = max(feas, _get(last, "stat_x_max"), _get(last, "stat_y"))
     if not math.isfinite(stat) or stat > cfg.tolerance:
-        return _inconclusive("theorem1_residual", tol)
+        return inconclusive("theorem1_residual", tol)
     omega_norm = _get(last, "omega_norm")
     target = (1.0 - cfg.tau1) / (cfg.tau2 * cfg.beta) * omega_norm
     scale = max(feas + cfg.tolerance, np.finfo(float).tiny)

@@ -37,7 +37,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ import numpy as np
 from .core import (
     Array,
     BlockTraits,
-    BlockVector,
     ConfigError,
     InvariantViolation,
     ProblemSpec,
@@ -59,20 +58,6 @@ from .core import (
     vdot,
     x_objective_value,
     y_stationarity,
-)
-
-TRACE_COLUMNS = (
-    "k",
-    "time_s",
-    "objective",
-    "aug_lagrangian",
-    "lyapunov",
-    "feas",
-    "stat_x_max",
-    "stat_y",
-    "dx",
-    "dy",
-    "domega",
 )
 
 # floating-point slack for the runtime-verified invariants
@@ -351,11 +336,12 @@ def _descent_coefficients(
 class IterateState:
     """Current iterates, the steps that produced them, and per-block bookkeeping.
 
-    ``dx`` (one array per block), ``dy`` and ``domega`` are the steps
-    x - x_prev, y - y_prev and omega - omega_prev of the most recently
-    completed iteration, zero before the first one.  The solver forms each
-    step once, when it accepts the new iterate; the extrapolation, the
-    descent check, the trace record and :func:`lyapunov_value` all read it.
+    ``x`` is the tuple of block arrays.  ``dx`` (one array per block),
+    ``dy`` and ``domega`` are the steps x - x_prev, y - y_prev and
+    omega - omega_prev of the most recently completed iteration, zero
+    before the first one.  The solver forms each step once, when it accepts
+    the new iterate; the extrapolation, the descent check, the trace record
+    and :func:`lyapunov_value` all read it.
     ``lip``/``kappa``/``alpha``/``eta`` hold the values used by the same
     iteration; ``run`` starts ``lip`` and ``kappa`` at None per block, as no
     modulus exists before the first sweep.  ``chi`` stores the separable
@@ -366,7 +352,7 @@ class IterateState:
     afterwards, so a metric hook may keep the state it is given.
     """
 
-    x: BlockVector
+    x: tuple
     dx: list
     y: Array
     dy: Array
@@ -407,9 +393,13 @@ class TraceRecord:
         return base
 
 
+# the CSV's fixed columns: every TraceRecord field but alpha, eta and extras
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))[:-3]
+
+
 @dataclass
 class RunResult:
-    x: BlockVector
+    x: tuple
     y: Array
     omega: Array
     trace: list
@@ -608,7 +598,7 @@ def _check_descent(lhs: float, rhs: float, ref: float, where: str) -> None:
 def run(
     p: ProblemSpec,
     cfg: SolverConfig,
-    x0: BlockVector | Sequence[Array],
+    x0: Sequence[Array],
     y0: Optional[Array] = None,
     omega0: Optional[Array] = None,
     extra_metrics: Optional[Mapping[str, Callable[[IterateState], float]]] = None,
@@ -628,9 +618,9 @@ def run(
     check = CheckLevel(cfg.check_level)
     checked, full = check is not CheckLevel.OFF, check is CheckLevel.FULL
 
-    x = x0.copy() if isinstance(x0, BlockVector) else BlockVector(x0)
+    x = tuple(np.asarray(b, dtype=float) for b in x0)
     p.check_x(x)
-    h0 = p.coupling_value(x.blocks)
+    h0 = p.coupling_value(x)
     y = _feasible_y(p, h0) if y0 is None else np.asarray(y0, dtype=float).copy()
     p.check_y(y)
     omega = (
@@ -641,7 +631,7 @@ def run(
     p.check_omega(omega)
 
     state = IterateState(
-        x=x, dx=[np.zeros_like(b) for b in x.blocks], y=y, dy=np.zeros_like(y),
+        x=x, dx=[np.zeros_like(b) for b in x], y=y, dy=np.zeros_like(y),
         omega=omega, domega=np.zeros_like(omega), lip=[None] * p.s, kappa=[None] * p.s,
         coupling_cur=h0,
     )
@@ -664,7 +654,7 @@ def run(
             break
         t_cur = nesterov_t_next(state.t_prev) if use_nesterov else 1.0
 
-        blocks = list(state.x.blocks)
+        blocks = list(state.x)
         dual_vec = state.omega + beta * by
         sweep = []  # one (step, lip, kappa, alpha, eta, chi) per block
         extras: dict[str, float] = {}
@@ -705,7 +695,7 @@ def run(
             if full:
                 h_after = p.coupling_value(blocks)
                 al_after = lagrangian_from_parts(
-                    objective_from_parts(x_objective_value(p, BlockVector(blocks)), g_y),
+                    objective_from_parts(x_objective_value(p, blocks), g_y),
                     h_after + by, state.omega, beta,
                 )
                 _check_descent(
@@ -742,7 +732,7 @@ def run(
         omega_prev = state.omega
         dx, lips, kappas, alphas, etas, chis = map(list, zip(*sweep))
         state = IterateState(
-            x=BlockVector(blocks), dx=dx, y=y_new, dy=dy, omega=omega_new,
+            x=tuple(blocks), dx=dx, y=y_new, dy=dy, omega=omega_new,
             domega=omega_new - omega_prev, k=it + 1, t_prev=t_cur, lip=lips, kappa=kappas,
             alpha=alphas, eta=etas, chi=chis, coupling_cur=h_new,
         )
@@ -853,9 +843,9 @@ def write_trace_csv(path, trace: Sequence[TraceRecord]) -> None:
     lines = [header]
     for rec in trace:
         row = rec.row()
-        fields = [_fmt(row.get(col, math.nan)) for col in TRACE_COLUMNS]
-        fields += [_fmt(row.get(k, math.nan)) for k in extra_keys]
-        lines.append(",".join(fields))
+        cells = [_fmt(row.get(col, math.nan)) for col in TRACE_COLUMNS]
+        cells += [_fmt(row.get(k, math.nan)) for k in extra_keys]
+        lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -406,7 +407,10 @@ class TestCli:
         ["run", "--config", "{tmp}/broken.json", "--out", "{tmp}/out"],
         ["check", "--out", "{tmp}/nodir"],
         ["summarize", "--out", "{tmp}/nodir"],
-    ], ids=["missing-config", "broken-json", "check-nodir", "summarize-nodir"])
+        ["run", "--config", "{tmp}", "--out", "{tmp}/out"],
+        ["summarize", "--out", "{tmp}/broken.json"],
+    ], ids=["missing-config", "broken-json", "check-nodir", "summarize-nodir",
+            "config-is-dir", "out-is-file"])
     def test_missing_or_malformed_input_is_one_line(self, tmp_path, capsys, argv):
         (tmp_path / "broken.json").write_text('{"rank": 2,')
         assert cli_main([arg.format(tmp=tmp_path) for arg in argv]) == 2
@@ -415,6 +419,28 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("iadmm: error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_broken_config_error_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_text('{"rank": 2,\n')
+        with pytest.raises(ConfigError, match=r"^" + re.escape(str(cfg_path)) + ": "):
+            load_config(cfg_path)
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"iadmm: error: {cfg_path}: ")
+
+    @pytest.mark.parametrize("iters", [0, 1])
+    def test_check_after_short_run_is_inconclusive(self, tmp_path, capsys, iters):
+        doc = {"sizes": [[10, 8]], "rank": 2, "density": 0.25, "datasets_per_size": 1,
+               "inits_per_dataset": 1, "budget": {"iters": iters}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert cli_main(["check", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        checks = json.loads((out / "checks.json").read_text())
+        lyapunov = [c for c in checks if c["name"] == "lyapunov_descent"]
+        assert lyapunov and all(c["status"] == "inconclusive" for c in lyapunov)
 
     def test_jobs_below_one_is_a_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import iadmm
 from iadmm import logmf
 from iadmm.core import (
-    BlockVector,
     DenseMap,
     DimensionError,
     ScaledIdentity,
@@ -26,28 +25,11 @@ def logmf_problem(m=2, n=2, rank=1, c=1.0):
     return logmf.make_problem(inst)
 
 
-class TestBlockVector:
-    def test_shapes_and_dim(self):
-        x = BlockVector([np.zeros((2, 3)), np.zeros(4)])
-        assert x.shapes == ((2, 3), (4,))
-        assert x.dim == 10
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            BlockVector([])
-
-    def test_copy_is_deep(self):
-        x = BlockVector([np.ones(2)])
-        y = x.copy()
-        y.blocks[0][0] = 5.0
-        assert x[0][0] == 1.0
-
-
 class TestObjective:
     def test_logmf_zero_point_is_4_ln2(self):
         # two-by-two instance at U = V = W = 0 with unit class weight
         p = logmf_problem()
-        x = BlockVector([np.zeros((2, 1)), np.zeros((1, 2))])
+        x = [np.zeros((2, 1)), np.zeros((1, 2))]
         val = objective_value(p, x, np.zeros((2, 2)))
         assert val == pytest.approx(4.0 * math.log(2.0), rel=1e-15)
 
@@ -55,20 +37,27 @@ class TestObjective:
         a_mat, a, b = quadratic_toy()
         p = toy_problem(a_mat, a, b)
         p.separable_value = lambda i, xi: math.inf
-        x = BlockVector([np.zeros(4)])
+        x = [np.zeros(4)]
         assert objective_value(p, x, np.zeros(4)) == math.inf
         assert augmented_lagrangian(p, x, np.zeros(4), np.zeros(4), 1.0) == math.inf
 
     def test_quadratic_toy_zero(self):
         a_mat = np.eye(3)
         p = toy_problem(a_mat, np.zeros(3), np.zeros(3))
-        x = BlockVector([np.zeros(3)])
+        x = [np.zeros(3)]
         assert objective_value(p, x, np.zeros(3)) == 0.0
+
+    def test_list_and_tuple_agree(self):
+        p = logmf_problem(3, 2, 2)
+        u = np.arange(6.0).reshape(3, 2) / 7.0
+        v = np.arange(4.0).reshape(2, 2) / 5.0
+        w = np.full((3, 2), 0.25)
+        assert objective_value(p, [u, v], w) == objective_value(p, (u, v), w)
 
     def test_shape_mismatch_raises(self):
         p = logmf_problem()
         with pytest.raises(DimensionError):
-            objective_value(p, BlockVector([np.zeros((3, 1)), np.zeros((1, 2))]),
+            objective_value(p, [np.zeros((3, 1)), np.zeros((1, 2))],
                             np.zeros((2, 2)))
 
 
@@ -78,7 +67,7 @@ class TestAugmentedLagrangian:
         p = logmf_problem(3, 2, 2)
         u = np.arange(6.0).reshape(3, 2) / 7.0
         v = np.arange(4.0).reshape(2, 2) / 5.0
-        x = BlockVector([u, v])
+        x = [u, v]
         w = u @ v
         omega = np.full((3, 2), 2.5)
         al = augmented_lagrangian(p, x, w, omega, beta=3.0)
@@ -89,7 +78,7 @@ class TestAugmentedLagrangian:
         p = toy_problem(np.eye(1), np.zeros(1), np.zeros(1))
         p.separable_value = lambda i, xi: 0.0
         p.y_value = lambda y: 0.0
-        x = BlockVector([np.array([3.0])])
+        x = [np.array([3.0])]
         y = np.array([1.0])  # h + By = 3 - 1 = 2
         al = augmented_lagrangian(p, x, y, np.array([1.0]), beta=1.0)
         assert al == pytest.approx(4.0, abs=1e-14)
@@ -99,14 +88,14 @@ class TestAugmentedLagrangian:
         p = toy_problem(np.eye(3), np.zeros(3), np.zeros(3))
         p.separable_value = lambda i, xi: 1.0
         p.y_value = lambda y: 0.0
-        x = BlockVector([np.array([3.0, 0.0, 0.0])])
+        x = [np.array([3.0, 0.0, 0.0])]
         y = np.zeros(3)
         al = augmented_lagrangian(p, x, y, np.zeros(3), beta=2.0)
         assert al == pytest.approx(10.0, abs=1e-14)
 
     def test_bad_beta_rejected(self):
         p = logmf_problem()
-        x = BlockVector([np.zeros((2, 1)), np.zeros((1, 2))])
+        x = [np.zeros((2, 1)), np.zeros((1, 2))]
         with pytest.raises(iadmm.ConfigError):
             augmented_lagrangian(p, x, np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
 
@@ -115,13 +104,13 @@ class TestConstraintResidual:
     def test_feasible_is_zero(self):
         p = logmf_problem(1, 1, 1)
         u, v = np.array([[1.0]]), np.array([[2.0]])
-        r = constraint_residual(p, BlockVector([u, v]), np.array([[2.0]]))
+        r = constraint_residual(p, [u, v], np.array([[2.0]]))
         np.testing.assert_allclose(r, 0.0)
 
     def test_logmf_infeasible_value(self):
         p = logmf_problem(1, 1, 1)
         u, v = np.array([[1.0]]), np.array([[2.0]])
-        r = constraint_residual(p, BlockVector([u, v]), np.array([[0.0]]))
+        r = constraint_residual(p, [u, v], np.array([[0.0]]))
         np.testing.assert_allclose(r, [[2.0]])
 
     @given(st.integers(0, 2**32 - 1))
@@ -130,7 +119,7 @@ class TestConstraintResidual:
         rng = np.random.default_rng(seed)
         a_mat, a, b = quadratic_toy(seed=seed)
         p = toy_problem(a_mat, a, b)
-        x = BlockVector([rng.standard_normal(4)])
+        x = [rng.standard_normal(4)]
         y1 = rng.standard_normal(4)
         y2 = rng.standard_normal(4)
         lhs = (
@@ -150,7 +139,7 @@ class TestConstraintResidual:
         xv = rng.standard_normal(4)
         y = a_mat @ xv  # h(x) - y = 0
         omega = rng.standard_normal(4)
-        x = BlockVector([xv])
+        x = [xv]
         al = augmented_lagrangian(p, x, y, omega, beta=2.0)
         assert al == pytest.approx(objective_value(p, x, y), abs=1e-12)
 
@@ -162,7 +151,7 @@ class TestStationarityResiduals:
         p = toy_problem(a_mat, a, b)
         # subgradient of the folded separable part at the solution
         chi = [x_star - a]
-        x = BlockVector([x_star])
+        x = [x_star]
         res = stationarity_residuals(
             p, x, w_star, chi, p.y_grad(y_star), constraint_residual(p, x, y_star)
         )
@@ -172,7 +161,7 @@ class TestStationarityResiduals:
     def test_logmf_stat_y_hand_value(self):
         # grad of the loss at W = 0 is 0.5 everywhere; omega = 0.5 cancels it
         p = logmf_problem()
-        x = BlockVector([np.zeros((2, 1)), np.zeros((1, 2))])
+        x = [np.zeros((2, 1)), np.zeros((1, 2))]
         omega = np.full((2, 2), 0.5)
         chi = [np.zeros((2, 1)), np.zeros((1, 2))]
         y = np.zeros((2, 2))
@@ -183,7 +172,7 @@ class TestStationarityResiduals:
 
     def test_wrong_chi_count_raises(self):
         p = logmf_problem()
-        x = BlockVector([np.zeros((2, 1)), np.zeros((1, 2))])
+        x = [np.zeros((2, 1)), np.zeros((1, 2))]
         with pytest.raises(DimensionError):
             stationarity_residuals(
                 p, x, np.zeros((2, 2)), [], np.zeros((2, 2)), np.zeros((2, 2))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iadmm import logmf
-from iadmm.core import BlockVector, ConfigError, objective_value
+from iadmm.core import ConfigError, objective_value
 from iadmm.diagnostics import finite_diff_grad
 
 
@@ -177,7 +177,7 @@ class TestObjective:
         u = rng.standard_normal((4, 2))
         v = rng.standard_normal((2, 5))
         direct = logmf.objective(u, v, u @ v, y, 1.0, 0.3, 0.6)
-        split = objective_value(p, BlockVector([u, v]), u @ v)
+        split = objective_value(p, [u, v], u @ v)
         assert split == pytest.approx(direct, rel=1e-10)
 
 

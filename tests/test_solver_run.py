@@ -7,12 +7,12 @@ import pytest
 from iadmm import logmf, solver
 from iadmm.core import (
     BlockTraits,
-    BlockVector,
     ConfigError,
     DimensionError,
     InvariantViolation,
     ScaledIdentity,
     augmented_lagrangian,
+    objective_value,
 )
 from iadmm.diagnostics import check_descent
 from iadmm.solver import (
@@ -158,7 +158,7 @@ class TestRunInvariants:
 
         def capture(state):
             seen.append((state.omega.copy(),
-                         p.coupling_value(state.x.blocks) + p.lin_map.apply(state.y)))
+                         p.coupling_value(state.x) + p.lin_map.apply(state.y)))
             return 0.0
 
         res = run(p, cfg, [u0, v0], extra_metrics={"capture": capture})
@@ -181,6 +181,37 @@ class TestRunInvariants:
         cfg = SolverConfig(beta=10.0, tau1=1.0, tau2=1.0, max_iters=3, check_level="off")
         with pytest.raises(DimensionError):
             run(p, cfg, [np.zeros(4)])
+
+    @pytest.mark.parametrize("x0", [[], [np.zeros((10, 3)), np.zeros((2, 8))]],
+                             ids=["no-blocks", "misshaped-block"])
+    def test_bad_x0_rejected_before_any_oracle(self, x0):
+        _, p, _, _ = small_logmf()
+        called = []
+
+        def spy(name):
+            fn = getattr(p, name)
+            return lambda *args: called.append(name) or fn(*args)
+
+        names = ("coupling_value", "coupling_jac_t", "block_penalty_lipschitz",
+                 "y_value", "y_grad", "separable_value", "separable_prox")
+        p = dataclasses.replace(p, **{name: spy(name) for name in names})
+        with pytest.raises(DimensionError):
+            run(p, SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=2), x0)
+        assert called == []
+
+    def test_x0_left_unchanged(self):
+        _, p, u0, v0 = small_logmf()
+        before = (u0.tobytes(), v0.tobytes())
+        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=5, check_level="full")
+        run(p, cfg, [u0, v0])
+        assert (u0.tobytes(), v0.tobytes()) == before
+
+    def test_result_x_is_tuple_of_final_blocks(self):
+        _, p, u0, v0 = small_logmf()
+        res = run(p, SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=5), [u0, v0])
+        assert type(res.x) is tuple
+        assert tuple(b.shape for b in res.x) == p.block_shapes
+        assert objective_value(p, res.x, res.y) == res.trace[-1].objective
 
     def test_full_checks_pass_on_logmf(self):
         inst, p, u0, v0 = small_logmf()
@@ -225,7 +256,7 @@ class TestRunInvariants:
         inst, p, u0, v0 = small_logmf()
         cfg = SolverConfig(tau1=1.0, tau2=1.0, beta=2.0, b2=0.5)
         consts = validate_config(cfg, p)
-        x = BlockVector([u0, v0])
+        x = (u0, v0)
         w = u0 @ v0
         omega = np.full((10, 8), 0.3)
         state = IterateState(x=x, dx=[np.zeros_like(b) for b in x], y=w,
@@ -239,7 +270,7 @@ class TestRunInvariants:
         inst, p, u0, v0 = small_logmf()
         cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9)
         consts = validate_config(cfg, p)
-        x = BlockVector([u0, v0])
+        x = (u0, v0)
         state = IterateState(x=x, dx=[np.zeros_like(b) for b in x], y=u0 @ v0,
                              dy=np.zeros((10, 8)), omega=np.zeros((10, 8)),
                              domega=np.zeros((10, 8)))
@@ -399,7 +430,7 @@ class TestOracleCalls:
         seen = []
 
         def capture(state):
-            seen.append((state.x.copy(), state.y.copy(), state.omega.copy()))
+            seen.append((tuple(b.copy() for b in state.x), state.y.copy(), state.omega.copy()))
             return 0.0
 
         res = run(p, cfg, [u0, v0], extra_metrics={"capture": capture})
