@@ -2,7 +2,7 @@
 
 Solver engine (:mod:`iadmm.solver`), problem containers (:mod:`iadmm.core`),
 the logistic matrix factorization instance and baselines (:mod:`iadmm.logmf`),
-independent verification oracles (:mod:`iadmm.diagnostics`), and the
+trace checks run by ``iadmm check`` (:mod:`iadmm.diagnostics`), and the
 benchmark harness (:mod:`iadmm.bench`, CLI in :mod:`iadmm.cli`).
 """
 

@@ -199,7 +199,7 @@ def load_config(path) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError("experiment config must be a JSON object")
+        raise ConfigError(f"{path}: experiment config must be a JSON object")
     return config_from_dict(raw)
 
 
@@ -230,7 +230,7 @@ def _cell_inputs(cfg: ExperimentConfig, size_idx: int, dataset: int, init: int) 
     init_seed = derive_seed(cfg.master_seed, _SEED_INIT, size_idx, dataset, init)
     inst = LogMfInstance(
         y=generate_matrix(m, n, cfg.density, data_seed), rank=cfg.rank, c=cfg.c,
-        lam_row=cfg.lambda_row, lam_col=cfg.lambda_col, beta=cfg.beta,
+        lam_row=cfg.lambda_row, lam_col=cfg.lambda_col,
     )
     u0, v0 = initial_factors(m, n, cfg.rank, init_seed)
     return inst, u0, v0
@@ -333,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     generate_matrix(0, 0, cfg.density, 0)
     probe = make_problem(LogMfInstance(
         y=np.array([[0.0, 1.0]]), rank=cfg.rank, c=cfg.c, lam_row=cfg.lambda_row,
-        lam_col=cfg.lambda_col, beta=cfg.beta,
+        lam_col=cfg.lambda_col,
     ))
     for variant in cfg.variants:
         validate_config(cfg.solver_config(variant), probe)

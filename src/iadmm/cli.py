@@ -4,7 +4,6 @@ Subcommands:
   run        execute an experiment described by a JSON config
   summarize  recompute summary.json and plot data from stored traces
   check      run the trace-level descent/consistency checks on stored runs
-  gen-data   write one random sparse 0/1 data matrix
 
 A configuration error, or a missing or malformed input file, prints one
 ``iadmm: error: <message>`` line to stderr and exits with status 2.
@@ -22,8 +21,6 @@ from pathlib import Path
 from .bench import load_config, run_experiment, summarize
 from .core import ConfigError
 from .diagnostics import check_descent, check_theorem1_residual, inconclusive
-from .logmf import generate_matrix
-from .matio import save_sparse01
 from .solver import SolverConfig, read_trace_csv
 
 
@@ -50,14 +47,6 @@ def main(argv=None) -> int:
     p_chk.add_argument("--out", type=Path, required=True, help="experiment directory")
     p_chk.add_argument("--tol", type=float, default=1e-8)
     p_chk.set_defaults(func=_cmd_check)
-
-    p_gen = sub.add_parser("gen-data", help="write a random sparse 0/1 matrix")
-    p_gen.add_argument("--rows", type=int, required=True)
-    p_gen.add_argument("--cols", type=int, required=True)
-    p_gen.add_argument("--density", type=float, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", type=Path, required=True, help="output file")
-    p_gen.set_defaults(func=_cmd_gen_data)
 
     args = parser.parse_args(argv)
     if args.command == "run" and args.jobs < 1:
@@ -162,14 +151,6 @@ def _cmd_check(args) -> int:
         json.dumps(lines, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return 1 if failed else 0
-
-
-def _cmd_gen_data(args) -> int:
-    matrix = generate_matrix(args.rows, args.cols, args.density, args.seed)
-    save_sparse01(args.out, matrix)
-    nnz = int(matrix.sum())
-    print(f"wrote {args.rows}x{args.cols} matrix with {nnz} nonzeros to {args.out}")
-    return 0
 
 
 if __name__ == "__main__":

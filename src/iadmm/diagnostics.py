@@ -1,100 +1,19 @@
-"""Independent verification oracles and trace-level checkers.
+"""Trace-level checks run by ``iadmm check``.
 
-These deliberately avoid the solver's own code paths: gradients come from
-central differences, subproblem minimizers from grid search plus pattern
-refinement, and the descent checkers only read recorded traces.
+The checks only read recorded traces, never the solver's own code paths:
+the Lyapunov and y-step descent, and the limit-point consistency of the
+scaled multiplier update.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Array, ConfigError
 from .solver import SolverConfig, TraceRecord
-
-MAX_GRID_POINTS = 10**7
-
-
-def finite_diff_grad(f: Callable[[Array], float], x: Array, step: float) -> Array:
-    """Central-difference gradient (f(x + h e_j) - f(x - h e_j)) / (2h)."""
-    if step <= 0.0:
-        raise ConfigError("finite-difference step must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    flat = grad.ravel()
-    xf = x.ravel()
-    for j in range(x.size):
-        saved = xf[j]
-        xf[j] = saved + step
-        fp = f(x)
-        xf[j] = saved - step
-        fm = f(x)
-        xf[j] = saved
-        flat[j] = (fp - fm) / (2.0 * step)
-    return grad
-
-
-def brute_force_argmin(
-    f: Callable[[Array], float],
-    bounds: Sequence[tuple[float, float]],
-    grid_points_per_dim: int,
-) -> Array:
-    """Grid argmin followed by deterministic pattern-search refinement.
-
-    The refinement does coordinate moves of a shrinking step, halving until
-    the step falls below spacing * 2**-24, and stays inside the box.  On
-    smooth unimodal objectives this sharpens the grid minimizer to around
-    1e-6 of the true one.
-    """
-    if grid_points_per_dim < 1:
-        raise ConfigError("need at least one grid point per dimension")
-    dims = len(bounds)
-    if dims == 0:
-        raise ConfigError("empty box")
-    for lo, hi in bounds:
-        if not lo <= hi:
-            raise ConfigError(f"empty box: [{lo}, {hi}]")
-    if grid_points_per_dim**dims > MAX_GRID_POINTS:
-        raise ConfigError("grid too large")
-
-    axes = [np.linspace(lo, hi, grid_points_per_dim) for lo, hi in bounds]
-    best_val = math.inf
-    best = None
-    for point in itertools.product(*axes):
-        arr = np.array(point)
-        val = f(arr)
-        if val < best_val:
-            best_val = val
-            best = arr
-    spacing = max(
-        (hi - lo) / max(grid_points_per_dim - 1, 1) for lo, hi in bounds
-    )
-    if spacing == 0.0:
-        spacing = max(abs(hi) + abs(lo) for lo, hi in bounds) or 1.0
-
-    x = best.copy()
-    step = spacing
-    min_step = spacing * 2.0**-24
-    while step > min_step:
-        improved = True
-        while improved:
-            improved = False
-            for j in range(dims):
-                for direction in (+step, -step):
-                    cand = x.copy()
-                    cand[j] = min(max(cand[j] + direction, bounds[j][0]), bounds[j][1])
-                    val = f(cand)
-                    if val < best_val:
-                        best_val = val
-                        x = cand
-                        improved = True
-        step *= 0.5
-    return x
 
 
 @dataclass

@@ -36,9 +36,6 @@ __all__ = [
     "logistic_loss_lipschitz",
     "objective",
     "gram_spectral_norm",
-    "update_row_factors",
-    "update_col_factors",
-    "update_logits",
     "gd_step",
     "gd_run",
     "make_problem",
@@ -189,46 +186,6 @@ def gram_spectral_norm(a: Array) -> float:
     a = np.asarray(a, dtype=float)
     gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
     return float(np.linalg.eigvalsh(gram)[-1])
-
-
-def update_row_factors(
-    u_ex: Array, v: Array, w: Array, omega: Array, beta: float, lam: float
-) -> Array:
-    """Exact minimizer of the extrapolated U subproblem.
-
-    U+ = (beta ||V V^T|| U_ex - omega V^T - beta (U_ex V - W) V^T)
-         / (beta ||V V^T|| + lam).
-    """
-    lip = gram_spectral_norm(v)
-    denom = beta * lip + lam
-    if denom == 0.0:
-        raise ZeroDivisionError("U update needs beta * ||V V^T|| + lam > 0")
-    numer = beta * lip * u_ex - omega @ v.T - beta * ((u_ex @ v - w) @ v.T)
-    return numer / denom
-
-
-def update_col_factors(
-    v_ex: Array, u: Array, w: Array, omega: Array, beta: float, lam: float
-) -> Array:
-    """Exact minimizer of the extrapolated V subproblem (U already updated)."""
-    lip = gram_spectral_norm(u)
-    denom = beta * lip + lam
-    if denom == 0.0:
-        raise ZeroDivisionError("V update needs beta * ||U^T U|| + lam > 0")
-    numer = beta * lip * v_ex - u.T @ omega - beta * (u.T @ (u @ v_ex - w))
-    return numer / denom
-
-
-def update_logits(
-    w: Array, uv: Array, omega: Array, y: Array, c: float, beta: float
-) -> Array:
-    """Proximal-linearized logit update.
-
-    W+ = (L_G W - grad(W) + omega + beta U V) / (beta + L_G) with L_G the
-    loss curvature bound; ``uv`` is the freshly updated product.
-    """
-    lg = logistic_loss_lipschitz(y, c)
-    return (lg * w - logistic_loss_grad(w, y, c) + omega + beta * uv) / (beta + lg)
 
 
 def gd_step(

@@ -620,15 +620,25 @@ def run(
 
     x = tuple(np.asarray(b, dtype=float) for b in x0)
     p.check_x(x)
-    h0 = p.coupling_value(x)
-    y = _feasible_y(p, h0) if y0 is None else np.asarray(y0, dtype=float).copy()
-    p.check_y(y)
+    y = None if y0 is None else np.asarray(y0, dtype=float).copy()
+    if y is not None:
+        p.check_y(y)
     omega = (
         np.zeros(p.constraint_shape)
         if omega0 is None
         else np.asarray(omega0, dtype=float).copy()
     )
     p.check_omega(omega)
+    # before any oracle: a NaN start otherwise surfaces as an unrelated error
+    # from deep inside one (e.g. an eigensolver that does not converge)
+    starts = [(f"x0 block {i}", b) for i, b in enumerate(x)] + [("y0", y), ("omega0", omega)]
+    for name, arr in starts:
+        if arr is not None and not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds a NaN or inf entry")
+    h0 = p.coupling_value(x)
+    if y is None:
+        y = _feasible_y(p, h0)
+        p.check_y(y)
 
     state = IterateState(
         x=x, dx=[np.zeros_like(b) for b in x], y=y, dy=np.zeros_like(y),

@@ -19,7 +19,6 @@ from iadmm.bench import (
 )
 from iadmm.cli import main as cli_main
 from iadmm.core import ConfigError
-from iadmm.matio import load_sparse01
 from iadmm.solver import read_trace_csv
 
 
@@ -420,6 +419,15 @@ class TestCli:
         assert captured.err.startswith("iadmm: error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_non_object_config_error_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]\n")
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"iadmm: error: {cfg_path}: experiment config must be a JSON object"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_broken_config_error_names_the_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text('{"rank": 2,\n')
@@ -477,16 +485,17 @@ class TestCli:
                       str(tmp_path / "out"), "--budget-iters", "4", "--budget-secs", "1"])
         assert exc.value.code == 2
 
-    def test_gen_data(self, tmp_path):
-        out = tmp_path / "y.txt"
-        assert cli_main(["gen-data", "--rows", "6", "--cols", "4",
-                         "--density", "0.5", "--seed", "11", "--out", str(out)]) == 0
-        m = load_sparse01(out)
-        assert m.shape == (6, 4)
-        direct = __import__("iadmm.logmf", fromlist=["generate_matrix"]).generate_matrix(
-            6, 4, 0.5, 11
-        )
-        np.testing.assert_array_equal(m, direct)
+    @pytest.mark.parametrize("argv,code", [
+        (["gen-data", "--rows", "6", "--cols", "4", "--density", "0.5", "--out", "{tmp}/y"], 2),
+        (["--help"], 0),
+    ], ids=["gen-data-is-a-usage-error", "help"])
+    def test_subcommands_are_run_summarize_check(self, tmp_path, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert "{run,summarize,check}" in captured.out + captured.err
+        assert not (tmp_path / "y").exists()
 
 
 class TestBenchmarkContract:

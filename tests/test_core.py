@@ -205,3 +205,9 @@ class TestLinearMaps:
         assert lm.lambda_min_bbt == pytest.approx(
             np.linalg.eigvalsh(b @ b.T)[0], rel=1e-12
         )
+
+
+@pytest.mark.parametrize("module", [iadmm, logmf], ids=["iadmm", "logmf"])
+def test_every_public_name_is_bound(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing

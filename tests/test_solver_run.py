@@ -199,6 +199,25 @@ class TestRunInvariants:
             run(p, SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=2), x0)
         assert called == []
 
+    @pytest.mark.parametrize("arg,value,name", [
+        ("x0", math.nan, "x0 block 1"),
+        ("y0", math.inf, "y0"),
+        ("omega0", math.nan, "omega0"),
+    ], ids=["nan-in-x0-block", "inf-in-y0", "nan-in-omega0"])
+    def test_nonfinite_start_rejected_before_any_oracle(self, arg, value, name):
+        _, p, u0, v0 = small_logmf()
+        start = {"x0": [u0, v0.copy()], "y0": u0 @ v0, "omega0": np.zeros((10, 8))}
+        (start["x0"][1] if arg == "x0" else start[arg])[0, 0] = value
+
+        def no_oracle(*args):
+            raise AssertionError("oracle called")
+
+        names = ("coupling_value", "coupling_jac_t", "block_penalty_lipschitz",
+                 "y_value", "y_grad", "separable_value", "separable_prox")
+        p = dataclasses.replace(p, **{n: no_oracle for n in names})
+        with pytest.raises(ValueError, match=f"^{name} holds a NaN or inf entry$"):
+            run(p, SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=2), **start)
+
     def test_x0_left_unchanged(self):
         _, p, u0, v0 = small_logmf()
         before = (u0.tobytes(), v0.tobytes())

@@ -14,6 +14,7 @@ from iadmm.solver import (
     update_y,
 )
 
+import reference
 from toys import quadratic_toy, toy_problem
 
 
@@ -201,7 +202,7 @@ class TestUpdateY:
         omega = rng.standard_normal((3, 4))
         uv = rng.standard_normal((3, 4))
         got = update_y(p, 2.0, w, p.y_grad(w), omega, uv)
-        want = logmf.update_logits(w, uv, omega, data, 1.5, 2.0)
+        want = reference.update_logits(w, uv, omega, data, 1.5, 2.0)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_optimality_residual_small(self):
