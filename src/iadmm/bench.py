@@ -110,8 +110,8 @@ class ExperimentConfig:
         if (self.budget_iters is None) == (self.budget_seconds is None):
             raise ConfigError("budget needs exactly one of iters or seconds")
         budget = self.budget_seconds if self.budget_iters is None else self.budget_iters
-        if budget < 0:
-            raise ConfigError(f"budget must be >= 0, got {budget}")
+        if not 0 <= budget < math.inf:
+            raise ConfigError(f"budget must be finite and >= 0, got {budget}")
 
     def solver_config(self, variant: Variant) -> SolverConfig:
         return SolverConfig(

@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .bench import load_config, run_experiment, summarize
 from .core import ConfigError
-from .diagnostics import check_descent, check_theorem1_residual, inconclusive
-from .solver import SolverConfig, read_trace_csv
+from .diagnostics import check_lyapunov_descent, check_theorem1_residual, check_y_decrease
+from .solver import CheckLevel, SolverConfig, read_trace_csv
 
 
 def main(argv=None) -> int:
@@ -35,7 +35,8 @@ def main(argv=None) -> int:
     budget = p_run.add_mutually_exclusive_group()
     budget.add_argument("--budget-iters", type=int, default=None)
     budget.add_argument("--budget-secs", type=float, default=None)
-    p_run.add_argument("--check-level", choices=("off", "cheap", "full"), default=None)
+    p_run.add_argument("--check-level", choices=[level.value for level in CheckLevel],
+                       default=None)
     p_run.add_argument("--jobs", type=int, default=1, help="parallel runs (threads)")
     p_run.set_defaults(func=_cmd_run)
 
@@ -108,19 +109,10 @@ def _cmd_check(args) -> int:
         # descent is only guaranteed for runs that passed the smoothness gate
         advisory = bool(meta.get("gate_warnings"))
         rows = read_trace_csv(out / meta["file"])
-        # a run of 0 or 1 iterations records fewer than two Lyapunov values
-        if sum(math.isfinite(row["lyapunov"]) for row in rows) < 2:
-            report = inconclusive("lyapunov_descent", args.tol)
-        else:
-            report = check_descent(rows, "lyapunov", args.tol)
-        reports.append((meta["file"], report, advisory))
-        if "al_after_x" in rows[-1]:
+        reports.append((meta["file"], check_lyapunov_descent(rows, args.tol), advisory))
+        if "al_after_x" in rows[0]:
             reports.append(
-                (meta["file"],
-                 check_descent(rows, "y_sufficient_decrease", args.tol,
-                               delta=meta["delta"]),
-                 advisory)
-            )
+                (meta["file"], check_y_decrease(rows, meta["delta"], args.tol), advisory))
         cfg = SolverConfig(
             beta=meta["beta"], tau1=meta["tau1"], tau2=meta["tau2"],
             tolerance=manifest["config"]["tolerance"],

@@ -2,18 +2,22 @@
 
 The checks only read recorded traces, never the solver's own code paths:
 the Lyapunov and y-step descent, and the limit-point consistency of the
-scaled multiplier update.
+scaled multiplier update.  A trace is a sequence of rows, and a row maps
+each column name to a float, as :func:`~iadmm.solver.read_trace_csv`
+returns it and :meth:`~iadmm.solver.TraceRecord.row` builds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .solver import SolverConfig, TraceRecord
+from .solver import SolverConfig
+
+Row = Mapping[str, float]
 
 
 @dataclass
@@ -21,8 +25,9 @@ class CheckReport:
     """Outcome of one trace-level check.
 
     ``status`` is "passed", "failed", or "inconclusive" (preconditions not
-    met, e.g. an unconverged run); ``passed`` is True only for "passed".
-    ``worst_violation`` is NaN for inconclusive reports.
+    met, e.g. an unconverged run or a trace too short to judge);
+    ``passed`` is True only for "passed".  ``worst_violation`` is NaN and
+    ``location`` None for inconclusive reports.
     """
 
     name: str
@@ -33,95 +38,55 @@ class CheckReport:
     status: str = "passed"
 
 
-def _conclude(name: str, worst: float, location, tol: float) -> CheckReport:
-    ok = worst <= tol
-    return CheckReport(
-        name=name,
-        passed=bool(ok),
-        worst_violation=float(worst),
-        location=location,
-        tolerance=float(tol),
-        status="passed" if ok else "failed",
-    )
+def _verdict(name: str, violations: Iterable[tuple[int, float]], tol: float) -> CheckReport:
+    """The report on the worst (row, violation) pair; the first row wins a tie.
 
-
-def inconclusive(name: str, tol: float) -> CheckReport:
-    """The report of a check whose preconditions the trace does not meet."""
-    return CheckReport(
-        name=name,
-        passed=False,
-        worst_violation=math.nan,
-        location=None,
-        tolerance=float(tol),
-        status="inconclusive",
-    )
-
-
-def _get(row, field: str) -> float:
-    if isinstance(row, TraceRecord):
-        if field in row.extras:
-            return float(row.extras[field])
-        return float(getattr(row, field))
-    return float(row[field])
-
-
-def check_descent(
-    trace: Sequence, kind: str, tol: float, delta: Optional[float] = None
-) -> CheckReport:
-    """Descent checks over a recorded trace.
-
-    kind="lyapunov": the compound descent value never rises by more than
-    tol * (1 + |previous|) between consecutive iterations.
-    kind="y_sufficient_decrease": requires full-check traces carrying the
-    intermediate Lagrangian columns al_after_x / al_after_y, plus the
-    y-subproblem modulus ``delta``; asserts
-    al_after_y + delta/2 * dy^2 <= al_after_x + tol * (1 + |al_after_x|).
+    With no pair the trace cannot be judged, and the report is inconclusive.
     """
-    if len(trace) < 2:
-        raise ValueError("descent check needs at least two records")
-    if kind == "lyapunov":
-        values = [(i, _get(r, "lyapunov")) for i, r in enumerate(trace)]
-        values = [(i, v) for i, v in values if math.isfinite(v)]
-        if len(values) < 2:
-            raise ValueError("trace carries no finite lyapunov values")
-        worst = -math.inf
-        where = None
-        for (i0, prev), (i1, cur) in zip(values, values[1:]):
-            violation = (cur - prev) / (1.0 + abs(prev))
-            if violation > worst:
-                worst = violation
-                where = i1
-        return _conclude("lyapunov_descent", worst, where, tol)
-    if kind == "y_sufficient_decrease":
-        if delta is None:
-            raise ValueError("y_sufficient_decrease needs the modulus delta")
-        worst = -math.inf
-        where = None
-        found = False
-        for i, row in enumerate(trace):
-            try:
-                ax = _get(row, "al_after_x")
-                ay = _get(row, "al_after_y")
-                dy = _get(row, "dy")
-            except (KeyError, AttributeError):
-                continue
-            if not (math.isfinite(ax) and math.isfinite(ay)):
-                continue
-            found = True
-            violation = (ay + 0.5 * delta * dy * dy - ax) / (1.0 + abs(ax))
-            if violation > worst:
-                worst = violation
-                where = i
-        if not found:
-            raise ValueError(
-                "trace lacks al_after_x/al_after_y columns (record with full checks)"
-            )
-        return _conclude("y_sufficient_decrease", worst, where, tol)
-    raise ValueError(f"unknown descent check kind {kind!r}")
+    location, worst = max(violations, key=lambda pair: pair[1], default=(None, math.nan))
+    passed = location is not None and bool(worst <= tol)
+    status = "inconclusive" if location is None else "passed" if passed else "failed"
+    return CheckReport(name, passed, float(worst), location, float(tol), status)
+
+
+def check_lyapunov_descent(rows: Sequence[Row], tol: float) -> CheckReport:
+    """The compound descent value never rises by more than tol * (1 + |previous|).
+
+    Row 0 may lack a value, because the solver records NaN there.  From row 1
+    on, a non-finite value is a violation of +inf at its row; a finite value
+    that follows a non-finite one is not compared.  Fewer than two values to
+    compare make the report inconclusive.
+    """
+    values = [row["lyapunov"] for row in rows]
+    violations = [
+        (k, (cur - prev) / (1.0 + abs(prev)) if math.isfinite(cur) else math.inf)
+        for k, (prev, cur) in enumerate(zip(values, values[1:]), 1)
+        if math.isfinite(prev) or not math.isfinite(cur)
+    ]
+    return _verdict("lyapunov_descent", violations, tol)
+
+
+def check_y_decrease(rows: Sequence[Row], delta: float, tol: float) -> CheckReport:
+    """The y step decreases the Lagrangian sufficiently, with modulus ``delta``.
+
+    Asserts al_after_y + delta/2 * dy^2 <= al_after_x + tol * (1 + |al_after_x|)
+    at each row k >= 1 that carries al_after_x (traces recorded with full
+    checks).  Row 0 is skipped, because the solver records NaN there; from
+    row 1 on, a non-finite al_after_x, al_after_y or dy is a violation of +inf
+    at its row.  Without such a row the report is inconclusive.
+    """
+    violations = []
+    for k, row in enumerate(rows[1:], 1):
+        if "al_after_x" in row:
+            ax, ay, dy = row["al_after_x"], row["al_after_y"], row["dy"]
+            finite = math.isfinite(ax) and math.isfinite(ay) and math.isfinite(dy)
+            violations.append(
+                (k, (ay + 0.5 * delta * dy * dy - ax) / (1.0 + abs(ax)) if finite else math.inf))
+    return _verdict("y_sufficient_decrease", violations, tol)
 
 
 def check_theorem1_residual(
-    trace: Sequence, cfg: SolverConfig, tol: float
+    trace: Sequence[Row], cfg: SolverConfig, tol: float
 ) -> CheckReport:
     """Limit-point consistency of the scaled multiplier update.
 
@@ -132,12 +97,10 @@ def check_theorem1_residual(
     if not trace:
         raise ValueError("empty trace")
     last = trace[-1]
-    feas = _get(last, "feas")
-    stat = max(feas, _get(last, "stat_x_max"), _get(last, "stat_y"))
+    feas = last["feas"]
+    stat = max(feas, last["stat_x_max"], last["stat_y"])
     if not math.isfinite(stat) or stat > cfg.tolerance:
-        return inconclusive("theorem1_residual", tol)
-    omega_norm = _get(last, "omega_norm")
-    target = (1.0 - cfg.tau1) / (cfg.tau2 * cfg.beta) * omega_norm
+        return _verdict("theorem1_residual", (), tol)
+    target = (1.0 - cfg.tau1) / (cfg.tau2 * cfg.beta) * last["omega_norm"]
     scale = max(feas + cfg.tolerance, np.finfo(float).tiny)
-    violation = abs(feas - target) / scale
-    return _conclude("theorem1_residual", violation, len(trace) - 1, tol)
+    return _verdict("theorem1_residual", [(len(trace) - 1, abs(feas - target) / scale)], tol)

@@ -182,8 +182,13 @@ def validate_config(cfg: SolverConfig, p: ProblemSpec) -> DerivedConstants:
         raise ConfigError(f"nu must be one number in (0, 1) for every block, got {cfg.nu!r}")
     if cfg.max_iters is None and cfg.max_seconds is None:
         raise ConfigError("need an iteration or wall-clock budget (or both)")
-    if cfg.tolerance < 0.0:
-        raise ConfigError(f"tolerance must be >= 0, got {cfg.tolerance}")
+    if not (cfg.max_iters is None
+            or isinstance(cfg.max_iters, numbers.Integral) and cfg.max_iters >= 0):
+        raise ConfigError(f"max_iters must be None or an int >= 0, got {cfg.max_iters!r}")
+    if not (cfg.max_seconds is None or 0.0 <= cfg.max_seconds < math.inf):
+        raise ConfigError(f"max_seconds must be None or finite and >= 0, got {cfg.max_seconds}")
+    if not 0.0 <= cfg.tolerance < math.inf:
+        raise ConfigError(f"tolerance must be finite and >= 0, got {cfg.tolerance}")
     for i in range(p.s):
         _check_block_rule(p, rule, i)
 

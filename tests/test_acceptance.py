@@ -14,7 +14,7 @@ import iadmm
 from iadmm import logmf
 from iadmm.bench import ExperimentConfig, Variant, run_experiment
 from iadmm.core import ConfigError
-from iadmm.diagnostics import check_descent, check_theorem1_residual
+from iadmm.diagnostics import check_lyapunov_descent, check_theorem1_residual
 from iadmm.rng import Xoshiro256StarStar, derive_seed
 from iadmm.solver import SolverConfig, UpdateRule, update_block, update_y
 
@@ -81,7 +81,7 @@ def test_criterion_2_lyapunov_descent_sweep():
         for data_seed in (1, 2, 3):
             problem, u0, v0 = data_cache[data_seed]
             res = iadmm.run(problem, cfg, [u0, v0])
-            report = check_descent(res.trace, "lyapunov", 1e-8)
+            report = check_lyapunov_descent([rec.row() for rec in res.trace], 1e-8)
             worst_rise = max(worst_rise, report.worst_violation)
             floor = min(rec.lyapunov for rec in res.trace[1:])
             worst_floor = min(worst_floor, floor)
@@ -263,7 +263,7 @@ def test_criterion_6_theorem_residuals():
     # the run has converged to its scaled-multiplier floor; gate the check at
     # the approximate-stationarity level that floor corresponds to
     check_cfg = SolverConfig(beta=1.0, tau1=0.5, tau2=0.5, b2=0.9, tolerance=2.0)
-    report = check_theorem1_residual(res.trace, check_cfg, 0.05)
+    report = check_theorem1_residual([rec.row() for rec in res.trace], check_cfg, 0.05)
     assert report.status == "passed", report
     target = (1.0 - 0.5) / (0.5 * 1.0) * last.extras["omega_norm"]
     rel = abs(last.feas - target) / last.feas

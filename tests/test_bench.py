@@ -19,7 +19,7 @@ from iadmm.bench import (
 )
 from iadmm.cli import main as cli_main
 from iadmm.core import ConfigError
-from iadmm.solver import read_trace_csv
+from iadmm.solver import TRACE_COLUMNS, read_trace_csv
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -61,6 +61,12 @@ class TestConfigParsing:
     def test_budget_must_be_single_mode(self):
         with pytest.raises(ConfigError):
             config_from_dict({"budget": {"iters": 5, "seconds": 1.0}})
+
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
+    def test_seconds_budget_must_be_finite_and_nonnegative(self, seconds):
+        # a grid of gd runs alone meets no validate_config, and would never stop
+        with pytest.raises(ConfigError, match="budget"):
+            ExperimentConfig(variants=(), budget_iters=None, budget_seconds=seconds)
 
     def test_round_trip_through_file(self, tmp_path):
         doc = {
@@ -449,6 +455,37 @@ class TestCli:
         checks = json.loads((out / "checks.json").read_text())
         lyapunov = [c for c in checks if c["name"] == "lyapunov_descent"]
         assert lyapunov and all(c["status"] == "inconclusive" for c in lyapunov)
+
+    @pytest.mark.parametrize("warned", [True, False], ids=["gate-relaxed", "gated"])
+    def test_check_reports_a_rising_lyapunov_value(self, tmp_path, capsys, warned):
+        # two hand-written runs whose Lyapunov value rises from 1 to 2 at row 2;
+        # their eta ratios put b1 = 0.5 above the first run's bound and below the second's
+        rows = ["0,0,1,1,nan,1,1,1,0,0,0", "1,0,1,1,1,1,1,1,0,0,0", "2,0,1,1,2,1,1,1,0,0,0"]
+        runs = []
+        for name, eta_min in (("a.csv", [0.4, 1.0]), ("b.csv", [0.6, 1.0])):
+            (tmp_path / name).write_text("\n".join([",".join(TRACE_COLUMNS), *rows]) + "\n")
+            runs.append({
+                "algorithm": "iadmm(0.1,0.1)", "file": name, "delta": 1.0, "beta": 1.0,
+                "tau1": 0.1, "tau2": 0.1, "eta_min": eta_min, "eta_max": [1.0, 1.0],
+                "gate_warnings": ["smoothness gate violated"] if warned else [],
+            })
+        manifest = {"config": {"b1": 0.5, "tolerance": 0.0}, "runs": runs}
+        (tmp_path / "runs_manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["check", "--out", str(tmp_path)]) == (0 if warned else 1)
+        failed = "FAILED*" if warned else "FAILED"
+        assert capsys.readouterr().out.splitlines() == [
+            "     MONITOR  momentum bound: b1=0.5 >= min eta ratio 0.4000  a.csv",
+            "     MONITOR  momentum bound: b1=0.5 < min eta ratio 0.6000  b.csv",
+            f"{failed:>12s}  lyapunov_descent         worst 5.000e-01  a.csv",
+            "INCONCLUSIVE  theorem1_residual        worst nan  a.csv",
+            f"{failed:>12s}  lyapunov_descent         worst 5.000e-01  b.csv",
+            "INCONCLUSIVE  theorem1_residual        worst nan  b.csv",
+        ]
+        checks = json.loads((tmp_path / "checks.json").read_text())
+        assert [(c["name"], c["status"], c["location"], c["advisory"]) for c in checks] == [
+            ("lyapunov_descent", "failed", 2, warned),
+            ("theorem1_residual", "inconclusive", None, False),
+        ] * 2
 
     def test_jobs_below_one_is_a_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -93,6 +93,25 @@ class TestScalarConditions:
         with pytest.raises(ConfigError, match="tolerance"):
             validate_config(cfg(tolerance=-1.0), roomy_problem())
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_iters", -3), ("max_iters", 2.5),
+        ("max_seconds", -1.0), ("max_seconds", float("nan")), ("max_seconds", float("inf")),
+        ("tolerance", float("nan")), ("tolerance", float("inf")),
+    ], ids=["negative-iters", "fractional-iters", "negative-seconds", "nan-seconds",
+            "inf-seconds", "nan-tolerance", "inf-tolerance"])
+    def test_budget_that_would_run_wrongly_rejected(self, field, value):
+        # a direct call: run() would stop at once, fail inside range or never stop
+        budget = {"max_iters": None} if field == "max_seconds" else {}
+        with pytest.raises(ConfigError, match=field):
+            validate_config(cfg(**budget, **{field: value}), roomy_problem())
+
+    @pytest.mark.parametrize("budget", [
+        {"max_iters": 0}, {"max_iters": np.int64(3)},
+        {"max_iters": None, "max_seconds": 0.0}, {"max_iters": 5, "max_seconds": 2.5},
+    ], ids=["zero-iters", "numpy-int", "zero-seconds", "both"])
+    def test_budget_at_its_bounds_accepted(self, budget):
+        validate_config(cfg(**budget), roomy_problem())
+
 
 class TestDerivedConstants:
     def test_formulas_match_hand_computation(self):

@@ -14,7 +14,7 @@ from iadmm.core import (
     augmented_lagrangian,
     objective_value,
 )
-from iadmm.diagnostics import check_descent
+from iadmm.diagnostics import check_lyapunov_descent
 from iadmm.solver import (
     IterateState,
     SolverConfig,
@@ -115,7 +115,7 @@ class TestInflatedModulus:
         p, res = self._run(rule, traits)  # raises on any invariant violation
         assert not solver._exact_kappa_ok(solver.UpdateRule(rule), p.traits(0))
         assert res.iterations == 500
-        assert check_descent([rec.row() for rec in res.trace], "lyapunov", 1e-8).passed
+        assert check_lyapunov_descent([rec.row() for rec in res.trace], 1e-8).passed
 
     def test_nu_moves_the_iterates(self):
         # the cap depends on nu (1 - nu), so 0.3 and 0.7 would agree
