@@ -5,7 +5,8 @@ Subcommands:
   summarize  recompute summary.json and plot data from stored traces
   check      run the trace-level descent/consistency checks on stored runs
 
-A configuration error, or a missing or malformed input file, prints one
+A configuration error, or a missing or malformed input file (a trace with
+no rows, ragged rows or wrong headers is malformed), prints one
 ``iadmm: error: <message>`` line to stderr and exits with status 2.
 """
 
@@ -21,7 +22,7 @@ from pathlib import Path
 from .bench import load_config, run_experiment, summarize
 from .core import ConfigError
 from .diagnostics import check_lyapunov_descent, check_theorem1_residual, check_y_decrease
-from .solver import CheckLevel, SolverConfig, read_trace_csv
+from .solver import CheckLevel, SolverConfig, TraceFormatError, read_trace_csv
 
 
 def main(argv=None) -> int:
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, TraceFormatError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,8 +10,9 @@ splitting solver the same problem is posed with an explicit logit matrix
 and the bilinear coupling U V - W = 0, where the likelihood term lives on
 W and the Frobenius regularizers ride inside the factor proximal maps.
 
-Closed-form block updates for U, V, W are provided next to the generic
-solver path; the two must agree to rounding, which the test suite checks.
+The test suite checks the generic solver path against closed-form block
+updates for U, V, W (kept with its reference oracles); the two must agree
+to rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .core import Array, BlockTraits, ConfigError, ProblemSpec, ScaledIdentity
 from .rng import Xoshiro256StarStar
-from .solver import IterateState, TraceRecord
+from .solver import IterateState, TraceRecord, check_budget
 
 __all__ = [
     "LogMfInstance",
@@ -225,15 +226,16 @@ def gd_run(
     ``objective`` and the extras' ``model_objective`` both carry the
     factor-space objective, and stat_x_max the larger block gradient norm.
     Each step starts from the U-gradient its preceding record formed at the
-    same point, the expression :func:`gd_step` would evaluate.
+    same point, the expression :func:`gd_step` would evaluate.  The budget
+    must pass :func:`~iadmm.solver.check_budget`, as the solver's does.
     """
     import time
 
+    check_budget(max_iters, max_seconds)
     y, c = inst.y, inst.c
     lg = logistic_loss_lipschitz(y, c)
     u, v = np.asarray(u0, dtype=float).copy(), np.asarray(v0, dtype=float).copy()
     start = time.perf_counter()
-    nan = math.nan
 
     def record(k: int) -> tuple[TraceRecord, Array]:
         uv = u @ v
@@ -247,15 +249,8 @@ def gd_run(
             k=k,
             time_s=time.perf_counter() - start,
             objective=obj,
-            aug_lagrangian=nan,
-            lyapunov=nan,
-            feas=nan,
             stat_x_max=max(gu, gv),
-            stat_y=nan,
-            dx=nan,
-            dy=nan,
-            domega=nan,
-            extras={"model_objective": obj, "omega_norm": nan},
+            extras={"model_objective": obj, "omega_norm": math.nan},
         ), grad_u
 
     rec, grad_u = record(0)

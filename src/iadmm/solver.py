@@ -150,7 +150,6 @@ class DerivedConstants:
     c2: float
     c3: float
     delta: float
-    sigma_b: float
     warnings: tuple[str, ...] = ()
 
 
@@ -180,13 +179,7 @@ def validate_config(cfg: SolverConfig, p: ProblemSpec) -> DerivedConstants:
         raise ConfigError(f"b2 must lie in (0, 1), got {cfg.b2}")
     if not (isinstance(cfg.nu, numbers.Real) and 0.0 < cfg.nu < 1.0):
         raise ConfigError(f"nu must be one number in (0, 1) for every block, got {cfg.nu!r}")
-    if cfg.max_iters is None and cfg.max_seconds is None:
-        raise ConfigError("need an iteration or wall-clock budget (or both)")
-    if not (cfg.max_iters is None
-            or isinstance(cfg.max_iters, numbers.Integral) and cfg.max_iters >= 0):
-        raise ConfigError(f"max_iters must be None or an int >= 0, got {cfg.max_iters!r}")
-    if not (cfg.max_seconds is None or 0.0 <= cfg.max_seconds < math.inf):
-        raise ConfigError(f"max_seconds must be None or finite and >= 0, got {cfg.max_seconds}")
+    check_budget(cfg.max_iters, cfg.max_seconds)
     if not 0.0 <= cfg.tolerance < math.inf:
         raise ConfigError(f"tolerance must be finite and >= 0, got {cfg.tolerance}")
     for i in range(p.s):
@@ -209,21 +202,31 @@ def validate_config(cfg: SolverConfig, p: ProblemSpec) -> DerivedConstants:
 
     warnings: list[str] = []
     if not c3 > 0.0:
-        msg = f"net y-descent coefficient C3 = {c3:.6g} must be positive"
-        if cfg.enforce_gate:
-            raise ConfigError(msg)
-        warnings.append(msg)
+        warnings.append(f"net y-descent coefficient C3 = {c3:.6g} must be positive")
     if not 8.0 * c2 * lg * lg <= cfg.b2 * c3:
-        msg = (
+        warnings.append(
             f"smoothness gate violated: 8 C2 L_G^2 = {8.0 * c2 * lg * lg:.6g} "
             f"> B2 C3 = {cfg.b2 * c3:.6g}"
         )
-        if cfg.enforce_gate:
-            raise ConfigError(msg)
-        warnings.append(msg)
+    if warnings and cfg.enforce_gate:
+        raise ConfigError(warnings[0])
     return DerivedConstants(
-        c1=c1, c2=c2, c3=c3, delta=delta, sigma_b=sigma_b, warnings=tuple(warnings)
+        c1=c1, c2=c2, c3=c3, delta=delta, warnings=tuple(warnings)
     )
+
+
+def check_budget(max_iters: Optional[int], max_seconds: Optional[float]) -> None:
+    """Raise :class:`~iadmm.core.ConfigError` unless the budget stops a run.
+
+    At least one of ``max_iters`` (an int >= 0) and ``max_seconds`` (finite
+    and >= 0) must be set; None leaves that limit off.
+    """
+    if max_iters is None and max_seconds is None:
+        raise ConfigError("need an iteration or wall-clock budget (or both)")
+    if not (max_iters is None or isinstance(max_iters, numbers.Integral) and max_iters >= 0):
+        raise ConfigError(f"max_iters must be None or an int >= 0, got {max_iters!r}")
+    if not (max_seconds is None or 0.0 <= max_seconds < math.inf):
+        raise ConfigError(f"max_seconds must be None or finite and >= 0, got {max_seconds}")
 
 
 def _member(kind: type[enum.Enum], name: str, value) -> enum.Enum:
@@ -236,27 +239,25 @@ def _member(kind: type[enum.Enum], name: str, value) -> enum.Enum:
 
 
 def _check_block_rule(p: ProblemSpec, rule: UpdateRule, i: int) -> None:
-    if rule is UpdateRule.PENALTY_LINEARIZED and (
-        p.smooth_value is not None or p.smooth_grad_block is not None
-    ):
+    if rule is UpdateRule.PENALTY_LINEARIZED:
+        if p.smooth_value is not None or p.smooth_grad_block is not None:
+            raise ConfigError(
+                f"block {i}: rule penalty_linearized never reads the smooth term F; "
+                "fold it into separable_prox and leave smooth_value and smooth_grad_block unset"
+            )
+    elif p.smooth_grad_block is None or p.block_smooth_lipschitz is None:
         raise ConfigError(
-            f"block {i}: rule penalty_linearized never reads the smooth term F; "
-            "fold it into separable_prox and leave smooth_value and smooth_grad_block unset"
+            f"block {i}: rule {rule.value} needs smooth_grad_block and "
+            "block_smooth_lipschitz oracles"
         )
-    if rule in (UpdateRule.FULLY_LINEARIZED, UpdateRule.PENALTY_EXACT):
-        if p.smooth_grad_block is None or p.block_smooth_lipschitz is None:
-            raise ConfigError(
-                f"block {i}: rule {rule.value} needs smooth_grad_block and "
-                "block_smooth_lipschitz oracles"
-            )
-    if rule in (UpdateRule.PENALTY_LINEARIZED, UpdateRule.FULLY_LINEARIZED):
-        if not p.traits(i).coupling_linear:
-            raise ConfigError(
-                f"block {i}: rule {rule.value} requires h linear in the block; "
-                "use penalty_exact with a coupled_prox oracle otherwise"
-            )
-    if rule is UpdateRule.PENALTY_EXACT and p.coupled_prox is None:
-        raise ConfigError(f"block {i}: rule penalty_exact needs a coupled_prox oracle")
+    if rule is UpdateRule.PENALTY_EXACT:
+        if p.coupled_prox is None:
+            raise ConfigError(f"block {i}: rule penalty_exact needs a coupled_prox oracle")
+    elif not p.traits(i).coupling_linear:
+        raise ConfigError(
+            f"block {i}: rule {rule.value} requires h linear in the block; "
+            "use penalty_exact with a coupled_prox oracle otherwise"
+        )
 
 
 def _exact_kappa_ok(rule: UpdateRule, traits: BlockTraits) -> bool:
@@ -375,19 +376,23 @@ class IterateState:
 
 @dataclass
 class TraceRecord:
-    """Per-iteration scalars; ``extras`` carries optional diagnostics."""
+    """Per-iteration scalars; ``extras`` carries optional diagnostics.
+
+    The splitting columns default to NaN, for a method (such as the gd
+    baseline) that has no splitting variable or multiplier.
+    """
 
     k: int
     time_s: float
     objective: float
-    aug_lagrangian: float
-    lyapunov: float
-    feas: float
-    stat_x_max: float
-    stat_y: float
-    dx: float
-    dy: float
-    domega: float
+    aug_lagrangian: float = math.nan
+    lyapunov: float = math.nan
+    feas: float = math.nan
+    stat_x_max: float = math.nan
+    stat_y: float = math.nan
+    dx: float = math.nan
+    dy: float = math.nan
+    domega: float = math.nan
     alpha: tuple[float, ...] = ()
     eta: tuple[float, ...] = ()
     extras: dict = field(default_factory=dict)
@@ -474,14 +479,11 @@ def update_block(
     certified by the proximal identity (or, for the exact-penalty rule, by
     the subproblem's own first-order condition).
     """
-    probe = _with(blocks, i, xbar)
+    lin, weight = _linearization(p, rule, i, _with(blocks, i, xbar), dual_vec, beta, kappa)
     if rule is UpdateRule.PENALTY_EXACT:
-        lin = p.smooth_grad_block(i, probe)
-        x_new = p.coupled_prox(i, blocks, dual_vec, beta, lin, kappa, xbar)
-        pen = _penalty_grad(p, i, _with(blocks, i, x_new), dual_vec, beta)
-        chi = -(pen + lin + kappa * (x_new - xbar))
+        x_new = p.coupled_prox(i, blocks, dual_vec, beta, lin, weight, xbar)
+        chi = -(_exact_grad(p, i, blocks, x_new, dual_vec, beta, lin) + weight * (x_new - xbar))
         return x_new, chi
-    lin, weight = _linearization(p, rule, i, probe, dual_vec, beta, kappa)
     center = xbar - lin / weight
     x_new = p.separable_prox(i, center, weight)
     chi = weight * (center - x_new)
@@ -497,16 +499,30 @@ def _linearization(
     beta: float,
     kappa: float,
 ) -> tuple[Array, float]:
-    """(lin, weight) of block i's linearized subproblem at ``probe``.
+    """(lin, weight) of block i's subproblem at ``probe``.
 
     ``probe`` holds the extrapolated block in slot i.  ``lin`` is the
-    gradient of the linearized terms there and ``weight`` the proximal
-    weight of the rule (beta * kappa or kappa).
+    gradient of the linearized terms there (for penalty_exact, of F alone)
+    and ``weight`` the proximal weight of the rule (beta * kappa or kappa).
     """
+    if rule is UpdateRule.PENALTY_EXACT:
+        return p.smooth_grad_block(i, probe), kappa
     lin = _penalty_grad(p, i, probe, dual_vec, beta)
     if rule is UpdateRule.FULLY_LINEARIZED:
         return lin + p.smooth_grad_block(i, probe), kappa
     return lin, beta * kappa
+
+
+def _exact_grad(
+    p: ProblemSpec, i: int, blocks: Sequence[Array], x_new: Array, dual_vec: Array,
+    beta: float, lin: Array,
+) -> Array:
+    """Penalty gradient at ``x_new`` (in slot i of ``blocks``) plus ``lin``.
+
+    Under penalty_exact this is the subproblem's gradient at ``x_new`` less
+    the separable and proximal terms; ``lin`` is grad F at the probe.
+    """
+    return _penalty_grad(p, i, _with(blocks, i, x_new), dual_vec, beta) + lin
 
 
 def _with(blocks: Sequence[Array], i: int, value: Array) -> list:
@@ -542,11 +558,9 @@ def _block_optimality_residual(
     determinism contract of :class:`~iadmm.core.ProblemSpec`; a wrong prox
     passes (a ``separable_prox`` scaled by 0.9 leaves it near 1e-15).
     """
-    if rule is UpdateRule.PENALTY_EXACT:
-        pen = _penalty_grad(p, i, _with(blocks, i, x_new), dual_vec, beta)
-        lin = p.smooth_grad_block(i, _with(blocks, i, xbar))
-        return norm(chi + pen + lin + kappa * (x_new - xbar))
     lin, weight = _linearization(p, rule, i, _with(blocks, i, xbar), dual_vec, beta, kappa)
+    if rule is UpdateRule.PENALTY_EXACT:
+        lin = _exact_grad(p, i, blocks, x_new, dual_vec, beta, lin)
     return norm(chi + lin + weight * (x_new - xbar))
 
 
@@ -582,21 +596,23 @@ def update_multiplier(
 
 
 def _check_residual(
-    extras: dict, key: str, rel: float, exceeded: bool, where: str, res: float, bound: float
+    extras: dict, key: str, res: float, scale: float, rtol: float, where: str
 ) -> None:
-    """Store the relative residual ``rel`` as ``extras[key]``; raise if ``exceeded``.
+    """Raise unless the residual ``res`` is at most ``rtol * scale``; a NaN fails.
 
-    The message states the absolute residual ``res`` against its ``bound``.
+    ``extras[key]`` keeps the iteration's largest relative residual ``res / scale``.
     """
-    extras[key] = rel
-    if exceeded:
+    rel = res / scale
+    extras[key] = max(extras.get(key, rel), rel)
+    bound = rtol * scale
+    if not res <= bound:
         raise InvariantViolation(f"{where} residual {res:.3e} exceeds {bound:.3e}")
 
 
 def _check_descent(lhs: float, rhs: float, ref: float, where: str) -> None:
-    """Raise unless ``lhs <= rhs`` up to the slack NSDP_RTOL * (1 + |ref|)."""
+    """Raise unless ``lhs <= rhs`` up to the slack NSDP_RTOL * (1 + |ref|); a NaN fails."""
     slack = NSDP_RTOL * (1.0 + abs(ref))
-    if lhs > rhs + slack:
+    if not lhs <= rhs + slack:
         raise InvariantViolation(f"{where} violated by {lhs - rhs:.3e} (slack {slack:.3e})")
 
 
@@ -696,16 +712,13 @@ def run(
             sweep.append((step, lip, kappa, alpha, eta, chi))
 
             if checked:
-                res = _block_optimality_residual(
-                    p, rule, i, blocks, xbar, x_new, chi, dual_vec, beta, kappa
-                )
-                scale = 1.0 + norm(x_new)
-                rel = res / scale
                 _check_residual(
-                    extras, "block_opt_rel", max(extras.get("block_opt_rel", 0.0), rel),
-                    rel > BLOCK_OPTIMALITY_RTOL,
+                    extras, "block_opt_rel",
+                    _block_optimality_residual(
+                        p, rule, i, blocks, xbar, x_new, chi, dual_vec, beta, kappa
+                    ),
+                    1.0 + norm(x_new), BLOCK_OPTIMALITY_RTOL,
                     f"iteration {it}, block {i}: subproblem optimality",
-                    res, BLOCK_OPTIMALITY_RTOL * scale,
                 )
             if full:
                 h_after = p.coupling_value(blocks)
@@ -726,22 +739,19 @@ def run(
         p.check_y(y_new)  # the linear map's solve_ridge is caller-supplied
         dy = y_new - state.y
         if checked:
-            res, scale = y_optimality_residual(p, beta, state.y, y_new, state.omega, h_new)
             _check_residual(
-                extras, "y_opt_rel", res / scale, res > Y_OPTIMALITY_RTOL * scale,
-                f"iteration {it}: y-step optimality", res, Y_OPTIMALITY_RTOL * scale,
+                extras, "y_opt_rel",
+                *y_optimality_residual(p, beta, state.y, y_new, state.omega, h_new),
+                Y_OPTIMALITY_RTOL, f"iteration {it}: y-step optimality",
             )
         by = p.lin_map.apply(y_new)  # also feeds the next sweep's dual_vec
         residual = h_new + by
         omega_new = update_multiplier(beta, tau1, tau2, state.omega, residual)
         if checked:
             implied = (omega_new - tau1 * state.omega) / (tau2 * beta)
-            err = norm(implied - residual)
-            scale = 1.0 + norm(implied)
-            rel = err / scale
             _check_residual(
-                extras, "mult_identity_rel", rel, rel > MULTIPLIER_IDENTITY_RTOL,
-                f"iteration {it}: multiplier identity", err, MULTIPLIER_IDENTITY_RTOL * scale,
+                extras, "mult_identity_rel", norm(implied - residual), 1.0 + norm(implied),
+                MULTIPLIER_IDENTITY_RTOL, f"iteration {it}: multiplier identity",
             )
 
         omega_prev = state.omega
@@ -853,34 +863,39 @@ def _record(
 
 def write_trace_csv(path, trace: Sequence[TraceRecord]) -> None:
     """Trace as CSV: the fixed columns, then sorted extras, 17 significant digits."""
-    extra_keys = sorted({k for rec in trace for k in rec.extras})
-    header = ",".join(TRACE_COLUMNS + tuple(extra_keys))
-    lines = [header]
+    columns = TRACE_COLUMNS + tuple(sorted({k for rec in trace for k in rec.extras}))
+    lines = [",".join(columns)]
     for rec in trace:
         row = rec.row()
-        cells = [_fmt(row.get(col, math.nan)) for col in TRACE_COLUMNS]
-        cells += [_fmt(row.get(k, math.nan)) for k in extra_keys]
-        lines.append(",".join(cells))
+        lines.append(",".join(_fmt(row.get(col, math.nan)) for col in columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+class TraceFormatError(ValueError):
+    """A stored trace has no rows, other leading columns, or ragged rows."""
+
+
 def read_trace_csv(path) -> list[dict]:
-    """Rows as dicts of floats (k as int); schema-checked against the fixed columns."""
+    """Rows as dicts of floats (k as int); schema-checked against the fixed columns.
+
+    Raises :class:`TraceFormatError`, naming ``path``, for a trace without
+    rows, with other leading columns or with ragged rows.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise ValueError(f"empty trace file {path}")
+    if len(lines) < 2:
+        raise TraceFormatError(f"trace {path} has no rows")
     header = tuple(lines[0].split(","))
     if header[: len(TRACE_COLUMNS)] != TRACE_COLUMNS:
-        raise ValueError(
+        raise TraceFormatError(
             f"trace {path} has unexpected columns {header[:len(TRACE_COLUMNS)]}"
         )
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise ValueError(f"trace {path}: ragged row")
+            raise TraceFormatError(f"trace {path}: ragged row")
         row = {name: float(val) for name, val in zip(header, parts)}
         row["k"] = int(row["k"])
         rows.append(row)

@@ -22,6 +22,14 @@ from iadmm.core import ConfigError
 from iadmm.solver import TRACE_COLUMNS, read_trace_csv
 
 
+# a trace with no rows, a ragged row, and wrong headers
+MALFORMED_TRACES = {
+    "header-only": ",".join(TRACE_COLUMNS) + "\n",
+    "ragged": ",".join(TRACE_COLUMNS) + "\n0,0,1\n",
+    "wrong-headers": "k,objective\n0,1\n",
+}
+
+
 def tiny_config(**overrides) -> ExperimentConfig:
     base = dict(
         sizes=((10, 8),),
@@ -414,10 +422,20 @@ class TestCli:
         ["summarize", "--out", "{tmp}/nodir"],
         ["run", "--config", "{tmp}", "--out", "{tmp}/out"],
         ["summarize", "--out", "{tmp}/broken.json"],
+        *([cmd, "--out", f"{{tmp}}/{trace}"] for cmd in ("check", "summarize")
+          for trace in MALFORMED_TRACES),
     ], ids=["missing-config", "broken-json", "check-nodir", "summarize-nodir",
-            "config-is-dir", "out-is-file"])
+            "config-is-dir", "out-is-file",
+            *(f"{cmd}-{trace}" for cmd in ("check", "summarize") for trace in MALFORMED_TRACES)])
     def test_missing_or_malformed_input_is_one_line(self, tmp_path, capsys, argv):
         (tmp_path / "broken.json").write_text('{"rank": 2,')
+        for trace, text in MALFORMED_TRACES.items():
+            (tmp_path / trace).mkdir()
+            (tmp_path / trace / "a.csv").write_text(text)
+            (tmp_path / trace / "runs_manifest.json").write_text(json.dumps({
+                "config": {"b1": 0.5, "tolerance": 0.0},
+                "runs": [{"algorithm": "iadmm(0.1,0.1)", "m": 10, "n": 8, "file": "a.csv"}],
+            }))
         assert cli_main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -349,6 +349,17 @@ class TestGdBaseline:
         logmf.gd_run(u0, v0, logmf.LogMfInstance(y=y, rank=2), max_iters=n)
         assert len(calls) == 2 * n + 1
 
+    @pytest.mark.parametrize("budget,field", [
+        ({"max_iters": -3}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": 5, "max_seconds": math.nan}, "max_seconds"),
+        ({"max_iters": 5, "max_seconds": math.inf}, "max_seconds"),
+    ], ids=["negative-iters", "fractional-iters", "nan-seconds", "inf-seconds"])
+    def test_gd_run_rejects_the_budgets_the_solver_rejects(self, budget, field):
+        y = logmf.generate_matrix(6, 5, 0.3, 12)
+        u0, v0 = logmf.initial_factors(6, 5, 2, 13)
+        with pytest.raises(ConfigError, match=field):
+            logmf.gd_run(u0, v0, logmf.LogMfInstance(y=y, rank=2), **budget)
+
 
 class TestInstance:
     def test_non_binary_rejected(self):

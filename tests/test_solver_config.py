@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from iadmm import logmf
 from iadmm.core import ConfigError
-from iadmm.solver import SolverConfig, run, validate_config
+from iadmm.solver import SolverConfig, check_budget, run, validate_config
 
 from toys import quadratic_toy, toy_problem
 
@@ -88,6 +88,12 @@ class TestScalarConditions:
     def test_missing_budget_rejected(self):
         with pytest.raises(ConfigError, match="budget"):
             validate_config(cfg(max_iters=None, max_seconds=None), roomy_problem())
+
+    def test_missing_budget_rejected_by_the_rule_gd_shares(self):
+        # logmf.gd_run checks its budget with the same function; with neither
+        # limit set it would never stop, so the case is tested here
+        with pytest.raises(ConfigError, match="budget"):
+            check_budget(None, None)
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ConfigError, match="tolerance"):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from iadmm.core import (
 )
 from iadmm.diagnostics import check_lyapunov_descent
 from iadmm.solver import (
+    TRACE_COLUMNS,
     IterateState,
     SolverConfig,
+    TraceFormatError,
     lyapunov_value,
     read_trace_csv,
     run,
@@ -380,6 +383,33 @@ class TestInvariantsFire:
         )):
             self._run(p, "full", enforce_gate=False)
 
+    @staticmethod
+    def _nan_from(name, n):
+        """The toy with oracle ``name`` answering NaN from its n-th call on."""
+        p = toy_problem(*quadratic_toy())
+        fn, calls = getattr(p, name), []
+
+        def wrapper(*args):
+            calls.append(None)
+            return fn(*args) * (math.nan if len(calls) >= n else 1.0)
+
+        return dataclasses.replace(p, **{name: wrapper})
+
+    def test_nan_block_solution(self):
+        res = self._run(self._nan_from("separable_prox", 4), "off")
+        assert np.isnan(res.x[0]).all()
+        with pytest.raises(InvariantViolation, match=(
+            r"^iteration 3, block 0: subproblem optimality residual nan exceeds \S+$"
+        )):
+            self._run(self._nan_from("separable_prox", 4), "cheap")
+
+    def test_nan_objective(self):
+        self._run(self._nan_from("y_value", 6), "cheap")
+        with pytest.raises(InvariantViolation, match=(
+            r"^iteration 4: y sufficient decrease violated by nan \(slack \S+\)$"
+        )):
+            self._run(self._nan_from("y_value", 6), "full")
+
 
 class TestOracleCalls:
     N = 20
@@ -440,6 +470,47 @@ class TestOracleCalls:
             "separable_prox": 2 * n,
             "lin_map.apply": 2 * n + 2,
         }
+
+    # per iteration on the one-block toy: both rules take h and J^T once for
+    # the subproblem's gradient, h once for the y step and J^T and grad F once
+    # for the record; cheap recomputes the subproblem's gradient once more
+    @pytest.mark.parametrize("rule,check_level,per_iter", [
+        ("fully_linearized", "off", dict(coupling_value=2, coupling_jac_t=2,
+                                         smooth_grad_block=2, block_smooth_lipschitz=1,
+                                         block_penalty_lipschitz=1, separable_prox=1)),
+        ("fully_linearized", "cheap", dict(coupling_value=3, coupling_jac_t=3,
+                                           smooth_grad_block=3, block_smooth_lipschitz=1,
+                                           block_penalty_lipschitz=1, separable_prox=1)),
+        ("penalty_exact", "off", dict(coupling_value=2, coupling_jac_t=2,
+                                      smooth_grad_block=2, block_smooth_lipschitz=1,
+                                      coupled_prox=1)),
+        ("penalty_exact", "cheap", dict(coupling_value=3, coupling_jac_t=3,
+                                        smooth_grad_block=3, block_smooth_lipschitz=1,
+                                        coupled_prox=1)),
+    ])
+    def test_toy_calls_per_run_by_rule(self, rule, check_level, per_iter):
+        p = toy_problem(*quadratic_toy(), rule=rule)
+        names = ("coupling_value", "coupling_jac_t", "smooth_grad_block",
+                 "block_smooth_lipschitz", "block_penalty_lipschitz", "separable_prox",
+                 "coupled_prox")
+        counts = dict.fromkeys(names, 0)
+
+        def counted(fn, name):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        p = dataclasses.replace(p, **{
+            name: counted(getattr(p, name), name) for name in names if getattr(p, name)
+        })
+        cfg = SolverConfig(beta=10.0, tau1=0.5, tau2=0.5, update_rule=rule,
+                           max_iters=self.N, check_level=check_level)
+        run(p, cfg, [np.zeros(4)])
+        expected = {name: self.N * per_iter.get(name, 0) for name in names}
+        expected["coupling_value"] += 1  # h(x0)
+        assert counts == expected
 
     def test_recorded_lagrangian_equals_core(self):
         # every Lagrangian the full-level checks assemble from parts equals the
@@ -519,4 +590,14 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "", ",".join(TRACE_COLUMNS) + "\n", ",".join(TRACE_COLUMNS) + "\n0,0,1\n",
+        "k,objective\n0,1\n",
+    ], ids=["empty", "header-only", "ragged", "wrong-headers"])
+    def test_malformed_trace_error_names_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=re.escape(str(path))):
             read_trace_csv(path)
