@@ -44,7 +44,9 @@ from .logmf import (
     model_objective_metric,
 )
 from .rng import derive_seed
-from .solver import SolverConfig, read_trace_csv, run, validate_config, write_trace_csv
+from .solver import (
+    SolverConfig, TraceFormatError, read_trace_csv, run, validate_config, write_trace_csv,
+)
 
 _SEED_DATA = 0
 _SEED_INIT = 1
@@ -360,6 +362,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     return summary
 
 
+def read_manifest(out: Path) -> dict:
+    """The experiment's ``runs_manifest.json`` in ``out``.
+
+    Raises :class:`~iadmm.solver.TraceFormatError`, naming the file, when it
+    lists no runs: its JSON is not an object, or its ``runs`` is empty or
+    missing.
+    """
+    path = out / "runs_manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or not manifest.get("runs"):
+        raise TraceFormatError(f"manifest {path} lists no runs")
+    return manifest
+
+
 def summarize(trace_dir) -> tuple[dict, dict]:
     """Recompute the summary and plot data from stored traces.
 
@@ -369,14 +385,11 @@ def summarize(trace_dir) -> tuple[dict, dict]:
     returns (summary document, {size: {"time": path, "iters": path}}).
     """
     out = Path(trace_dir)
-    manifest = json.loads((out / "runs_manifest.json").read_text(encoding="utf-8"))
-    runs = manifest["runs"]
-    if not runs:
-        raise ValueError("manifest lists no runs")
+    manifest = read_manifest(out)
 
     # each run's trace, grouped by (algorithm, m, n) in manifest order
     groups: dict[tuple[str, int, int], list[list[dict]]] = {}
-    for meta in runs:
+    for meta in manifest["runs"]:
         key = (meta["algorithm"], meta["m"], meta["n"])
         groups.setdefault(key, []).append(read_trace_csv(out / meta["file"]))
 
@@ -422,41 +435,37 @@ def _row_objective(row: dict) -> float:
 def _write_plot_data(out: Path, size, series: dict, horizon_cfg=None) -> dict:
     """Write one size's plot CSVs from ``series``, {algorithm: its traces' rows}."""
     m, n = size
-    algos = sorted(series)
+    traces = [rows for all_rows in series.values() for rows in all_rows]
+    # a trace shorter than the longest carries its last row forward
+    iters = range(max(map(len, traces)))
+    iters_path = _write_plot_file(out / f"plot_iters_{m}x{n}.csv", "k", series, iters,
+                                  map(str, iters), lambda rows, k: min(k, len(rows) - 1))
 
-    # mean objective per iteration index (over the trials that reached it)
-    max_k = max(len(rows) for all_rows in series.values() for rows in all_rows)
-    iter_lines = ["k," + ",".join(algos)]
-    for k in range(max_k):
-        vals = []
-        for algo in algos:
-            per_trial = [_row_objective(rows[min(k, len(rows) - 1)]) for rows in series[algo]]
-            vals.append(statistics.fmean(per_trial))
-        iter_lines.append(",".join([str(k)] + [format(v, ".17g") for v in vals]))
-    iters_path = out / f"plot_iters_{m}x{n}.csv"
-    _atomic_write_text(iters_path, "\n".join(iter_lines) + "\n")
-
-    # mean objective on a shared time grid, last observation carried forward;
-    # the grid spans the configured wall-clock budget when there is one,
+    # the time grid spans the configured wall-clock budget when there is one,
     # else the longest observed run
     horizon = horizon_cfg if horizon_cfg is not None else max(
-        rows[-1]["time_s"] for all_rows in series.values() for rows in all_rows
+        rows[-1]["time_s"] for rows in traces
     )
     grid = [horizon * j / 99.0 for j in range(100)] if horizon > 0 else [0.0]
-    # a trace's time_s is non-decreasing, so bisection finds the last row at
-    # or before t (the first row when none is)
-    times = {algo: [[row["time_s"] for row in rows] for rows in series[algo]]
-             for algo in algos}
-    time_lines = ["time_s," + ",".join(algos)]
-    for t in grid:
-        vals = []
-        for algo in algos:
-            per_trial = [
-                _row_objective(rows[max(bisect.bisect_right(ts, t) - 1, 0)])
-                for rows, ts in zip(series[algo], times[algo])
-            ]
-            vals.append(statistics.fmean(per_trial))
-        time_lines.append(",".join([format(t, ".17g")] + [format(v, ".17g") for v in vals]))
-    time_path = out / f"plot_time_{m}x{n}.csv"
-    _atomic_write_text(time_path, "\n".join(time_lines) + "\n")
+
+    def last_row_at(rows, t):
+        # time_s is non-decreasing, so bisection finds the last row at or
+        # before t (the first row when none is)
+        return max(bisect.bisect_right(rows, t, key=lambda row: row["time_s"]) - 1, 0)
+
+    time_path = _write_plot_file(out / f"plot_time_{m}x{n}.csv", "time_s", series, grid,
+                                 (format(t, ".17g") for t in grid), last_row_at)
     return {"time": time_path, "iters": iters_path}
+
+
+def _write_plot_file(path: Path, column: str, series: dict, points, labels, pick) -> Path:
+    """One CSV line per point: its label, then each algorithm's mean objective
+    over all its traces, each read at row ``pick(rows, point)``."""
+    algos = sorted(series)
+    lines = [",".join([column, *algos])]
+    for point, label in zip(points, labels):
+        means = (statistics.fmean(_row_objective(rows[pick(rows, point)])
+                                  for rows in series[algo]) for algo in algos)
+        lines.append(",".join([label, *(format(v, ".17g") for v in means)]))
+    _atomic_write_text(path, "\n".join(lines) + "\n")
+    return path

@@ -6,8 +6,9 @@ Subcommands:
   check      run the trace-level descent/consistency checks on stored runs
 
 A configuration error, or a missing or malformed input file (a trace with
-no rows, ragged rows or wrong headers is malformed), prints one
-``iadmm: error: <message>`` line to stderr and exits with status 2.
+no rows, ragged rows, wrong headers or a non-numeric cell, or a manifest
+with no runs, is malformed), prints one ``iadmm: error: <message>`` line to
+stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import math
 import sys
 from pathlib import Path
 
-from .bench import load_config, run_experiment, summarize
+from .bench import load_config, read_manifest, run_experiment, summarize
 from .core import ConfigError
 from .diagnostics import check_lyapunov_descent, check_theorem1_residual, check_y_decrease
-from .solver import CheckLevel, SolverConfig, TraceFormatError, read_trace_csv
+from .solver import NSDP_RTOL, CheckLevel, SolverConfig, TraceFormatError, read_trace_csv
 
 
 def main(argv=None) -> int:
@@ -47,7 +48,6 @@ def main(argv=None) -> int:
 
     p_chk = sub.add_parser("check", help="verify descent invariants on stored traces")
     p_chk.add_argument("--out", type=Path, required=True, help="experiment directory")
-    p_chk.add_argument("--tol", type=float, default=1e-8)
     p_chk.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
@@ -66,16 +66,12 @@ def _cmd_run(args) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.budget_iters is not None:
-        overrides["budget_iters"] = args.budget_iters
-        overrides["budget_seconds"] = None
-    if args.budget_secs is not None:
-        overrides["budget_iters"] = None
-        overrides["budget_seconds"] = args.budget_secs
+    # the two budget flags are exclusive, so either one replaces the whole budget
+    if args.budget_iters is not None or args.budget_secs is not None:
+        overrides.update(budget_iters=args.budget_iters, budget_seconds=args.budget_secs)
     if args.check_level is not None:
         overrides["check_level"] = args.check_level
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    cfg = dataclasses.replace(cfg, **overrides)
     summary = run_experiment(cfg, args.out, jobs=args.jobs)
     _print_rows(summary)
     print(f"summary written to {Path(args.out) / 'summary.json'}")
@@ -101,7 +97,7 @@ def _print_rows(summary: dict) -> None:
 
 def _cmd_check(args) -> int:
     out = Path(args.out)
-    manifest = json.loads((out / "runs_manifest.json").read_text(encoding="utf-8"))
+    manifest = read_manifest(out)
     reports = []
     failed = 0
     for meta in manifest["runs"]:
@@ -110,10 +106,10 @@ def _cmd_check(args) -> int:
         # descent is only guaranteed for runs that passed the smoothness gate
         advisory = bool(meta.get("gate_warnings"))
         rows = read_trace_csv(out / meta["file"])
-        reports.append((meta["file"], check_lyapunov_descent(rows, args.tol), advisory))
+        reports.append((meta["file"], check_lyapunov_descent(rows, NSDP_RTOL), advisory))
         if "al_after_x" in rows[0]:
             reports.append(
-                (meta["file"], check_y_decrease(rows, meta["delta"], args.tol), advisory))
+                (meta["file"], check_y_decrease(rows, meta["delta"], NSDP_RTOL), advisory))
         cfg = SolverConfig(
             beta=meta["beta"], tau1=meta["tau1"], tau2=meta["tau2"],
             tolerance=manifest["config"]["tolerance"],

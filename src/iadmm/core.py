@@ -212,9 +212,10 @@ class ProblemSpec:
         self.block_shapes = tuple(tuple(s) for s in self.block_shapes)
         if not self.block_shapes:
             raise ConfigError("problem needs at least one block")
-        if self.lin_map.lambda_min_bbt <= 0.0:
+        # written so that a NaN fails
+        if not self.lin_map.lambda_min_bbt > 0.0:
             raise ConfigError("lambda_min(B B^T) must be positive")
-        if self.y_grad_lipschitz < 0.0:
+        if not self.y_grad_lipschitz >= 0.0:
             raise ConfigError("y gradient Lipschitz constant must be >= 0")
 
     @property

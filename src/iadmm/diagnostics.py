@@ -92,10 +92,11 @@ def check_theorem1_residual(
 
     At a converged run the final feasibility gap must equal
     (1 - tau1) / (tau2 beta) * ||omega|| up to tol * (feas + cfg.tolerance).
-    Inconclusive when the final stationarity exceeds cfg.tolerance.
+    Inconclusive for an empty trace, and when the final stationarity exceeds
+    cfg.tolerance.
     """
     if not trace:
-        raise ValueError("empty trace")
+        return _verdict("theorem1_residual", (), tol)
     last = trace[-1]
     feas = last["feas"]
     stat = max(feas, last["stat_x_max"], last["stat_y"])

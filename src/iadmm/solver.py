@@ -185,12 +185,9 @@ def validate_config(cfg: SolverConfig, p: ProblemSpec) -> DerivedConstants:
     for i in range(p.s):
         _check_block_rule(p, rule, i)
 
+    # ProblemSpec guarantees lambda_min(B B^T) > 0 and L_G >= 0
     sigma_b = p.lin_map.lambda_min_bbt
-    if not sigma_b > 0.0:
-        raise ConfigError(f"lambda_min(B B^T) must be positive, got {sigma_b}")
     lg = p.y_grad_lipschitz
-    if lg < 0.0:
-        raise ConfigError(f"L_G must be >= 0, got {lg}")
 
     gap = abs(tau1 - tau2)
     c1 = (tau1 + 1.0) * gap / (2.0 * sigma_b * tau2 * beta * (1.0 - gap))
@@ -873,14 +870,16 @@ def write_trace_csv(path, trace: Sequence[TraceRecord]) -> None:
 
 
 class TraceFormatError(ValueError):
-    """A stored trace has no rows, other leading columns, or ragged rows."""
+    """A stored trace has no rows, other leading columns, ragged rows or a
+    non-numeric cell, or a manifest lists no runs."""
 
 
 def read_trace_csv(path) -> list[dict]:
     """Rows as dicts of floats (k as int); schema-checked against the fixed columns.
 
     Raises :class:`TraceFormatError`, naming ``path``, for a trace without
-    rows, with other leading columns or with ragged rows.
+    rows, with other leading columns, with ragged rows or with a cell that is
+    not a number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
@@ -892,11 +891,15 @@ def read_trace_csv(path) -> list[dict]:
             f"trace {path} has unexpected columns {header[:len(TRACE_COLUMNS)]}"
         )
     rows = []
-    for ln in lines[1:]:
+    for index, ln in enumerate(lines[1:]):
         parts = ln.split(",")
         if len(parts) != len(header):
             raise TraceFormatError(f"trace {path}: ragged row")
-        row = {name: float(val) for name, val in zip(header, parts)}
+        try:
+            # a key is bound before its value, so ``name`` is the failing column
+            row = {(name := col): float(val) for col, val in zip(header, parts)}
+        except ValueError:
+            raise TraceFormatError(f"trace {path}: row {index}, column {name} is not a number")
         row["k"] = int(row["k"])
         rows.append(row)
     return rows

@@ -2,13 +2,15 @@
 
 Criterion 1 runs the full desk-scale benchmark grid (25 trials x three
 algorithms x 2000 iterations) and dominates the suite's runtime; everything
-else finishes in seconds.  Run with ``pytest -v -s tests/test_acceptance.py``
+else finishes in seconds.  It is marked ``slow``, so ``pytest -m "not slow"``
+runs everything else.  Run with ``pytest -v -s tests/test_acceptance.py``
 to see the per-criterion lines as they complete.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 import iadmm
 from iadmm import logmf
@@ -376,6 +378,7 @@ def test_criterion_8_summary_determinism(tmp_path):
 # -- criterion 1: desk-scale benchmark reproduction (slow) -------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_benchmark_ordering(tmp_path):
     cfg = ExperimentConfig(
         sizes=((200, 200),),

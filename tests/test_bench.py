@@ -19,14 +19,22 @@ from iadmm.bench import (
 )
 from iadmm.cli import main as cli_main
 from iadmm.core import ConfigError
-from iadmm.solver import TRACE_COLUMNS, read_trace_csv
+from iadmm.solver import NSDP_RTOL, TRACE_COLUMNS, read_trace_csv
 
 
-# a trace with no rows, a ragged row, and wrong headers
+# a trace with no rows, a ragged row, wrong headers, and a non-numeric cell
 MALFORMED_TRACES = {
     "header-only": ",".join(TRACE_COLUMNS) + "\n",
     "ragged": ",".join(TRACE_COLUMNS) + "\n0,0,1\n",
     "wrong-headers": "k,objective\n0,1\n",
+    "non-numeric": ",".join(TRACE_COLUMNS) + "\n0,0,1,1,x,1,1,1,0,0,0\n",
+}
+
+# a manifest that lists no runs: an empty list, no list, and not a JSON object
+EMPTY_MANIFESTS = {
+    "no-runs": {"config": {"b1": 0.5, "tolerance": 0.0}, "runs": []},
+    "runs-missing": {"config": {"b1": 0.5, "tolerance": 0.0}},
+    "not-an-object": [],
 }
 
 
@@ -313,6 +321,26 @@ class TestSummarize:
             seen.add(value)
         assert seen == {9.0, 7.0, 5.0, 3.0, 1.0}
 
+    def test_plot_iters_values_from_known_traces(self, tmp_path):
+        # traces of unequal length: every trial counts at every k, a short one
+        # with its last row carried forward
+        traces = {"a.csv": [10.0, 6.0, 2.0], "b.csv": [8.0, 4.0], "c.csv": [7.0]}
+        for name, objectives in traces.items():
+            lines = [",".join(TRACE_COLUMNS)] + [
+                f"{k},0,{obj!r},0,0,0,0,0,0,0,0" for k, obj in enumerate(objectives)]
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        manifest = {
+            "config": {"budget": {"iters": 2}, "master_seed": 0},
+            "runs": [{"file": "a.csv", "algorithm": "algo", "m": 3, "n": 2},
+                     {"file": "b.csv", "algorithm": "algo", "m": 3, "n": 2},
+                     {"file": "c.csv", "algorithm": "base", "m": 3, "n": 2}],
+        }
+        (tmp_path / "runs_manifest.json").write_text(json.dumps(manifest))
+        _, paths = summarize(tmp_path)
+        assert paths[(3, 2)]["iters"].read_text().splitlines() == [
+            "k,algo,base", "0,9,7", "1,5,7", "2,3,7",
+        ]
+
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             summarize(tmp_path)
@@ -424,11 +452,17 @@ class TestCli:
         ["summarize", "--out", "{tmp}/broken.json"],
         *([cmd, "--out", f"{{tmp}}/{trace}"] for cmd in ("check", "summarize")
           for trace in MALFORMED_TRACES),
+        *([cmd, "--out", f"{{tmp}}/{case}"] for cmd in ("check", "summarize")
+          for case in EMPTY_MANIFESTS),
     ], ids=["missing-config", "broken-json", "check-nodir", "summarize-nodir",
             "config-is-dir", "out-is-file",
-            *(f"{cmd}-{trace}" for cmd in ("check", "summarize") for trace in MALFORMED_TRACES)])
+            *(f"{cmd}-{trace}" for cmd in ("check", "summarize") for trace in MALFORMED_TRACES),
+            *(f"{cmd}-{case}" for cmd in ("check", "summarize") for case in EMPTY_MANIFESTS)])
     def test_missing_or_malformed_input_is_one_line(self, tmp_path, capsys, argv):
         (tmp_path / "broken.json").write_text('{"rank": 2,')
+        for case, doc in EMPTY_MANIFESTS.items():
+            (tmp_path / case).mkdir()
+            (tmp_path / case / "runs_manifest.json").write_text(json.dumps(doc))
         for trace, text in MALFORMED_TRACES.items():
             (tmp_path / trace).mkdir()
             (tmp_path / trace / "a.csv").write_text(text)
@@ -534,6 +568,37 @@ class TestCli:
         assert manifest["config"]["check_level"] == "cheap"
         assert [meta["stop_reason"] for meta in manifest["runs"]] == ["max_seconds"]
 
+    @pytest.mark.parametrize("budget,flag,echo,stop", [
+        ({"seconds": 60.0}, ["--budget-iters", "3"], {"iters": 3}, "max_iters"),
+        ({"iters": 10**6}, ["--budget-secs", "0.05"], {"seconds": 0.05}, "max_seconds"),
+    ], ids=["iters-over-seconds", "seconds-over-iters"])
+    def test_budget_flag_replaces_the_other_mode(self, tmp_path, budget, flag, echo, stop):
+        doc = {
+            "sizes": [[8, 6]], "rank": 2, "density": 0.25,
+            "variants": [{"tau1": 0.1, "tau2": 0.1}], "include_gd": False,
+            "datasets_per_size": 1, "inits_per_dataset": 1, "budget": budget,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), *flag]) == 0
+        manifest = json.loads((out / "runs_manifest.json").read_text())
+        assert manifest["config"]["budget"] == echo
+        assert [meta["stop_reason"] for meta in manifest["runs"]] == [stop]
+
+    def test_check_tolerance_is_the_runtime_slack(self, tmp_path):
+        doc = {"sizes": [[10, 8]], "rank": 2, "density": 0.25, "datasets_per_size": 1,
+               "inits_per_dataset": 1, "budget": {"iters": 5}, "check_level": "full"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert cli_main(["check", "--out", str(out)]) == 0
+        checks = json.loads((out / "checks.json").read_text())
+        descent = [c for c in checks if c["name"] != "theorem1_residual"]
+        assert {c["name"] for c in descent} == {"lyapunov_descent", "y_sufficient_decrease"}
+        assert {c["tolerance"] for c in descent} == {NSDP_RTOL}
+
     def test_budget_flags_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--config", str(tmp_path / "cfg.json"), "--out",
@@ -543,7 +608,8 @@ class TestCli:
     @pytest.mark.parametrize("argv,code", [
         (["gen-data", "--rows", "6", "--cols", "4", "--density", "0.5", "--out", "{tmp}/y"], 2),
         (["--help"], 0),
-    ], ids=["gen-data-is-a-usage-error", "help"])
+        (["check", "--out", "{tmp}", "--tol", "1e-6"], 2),
+    ], ids=["gen-data-is-a-usage-error", "help", "check-tol-is-a-usage-error"])
     def test_subcommands_are_run_summarize_check(self, tmp_path, capsys, argv, code):
         with pytest.raises(SystemExit) as exc:
             cli_main([arg.format(tmp=tmp_path) for arg in argv])

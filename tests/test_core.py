@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +207,23 @@ class TestLinearMaps:
         assert lm.lambda_min_bbt == pytest.approx(
             np.linalg.eigvalsh(b @ b.T)[0], rel=1e-12
         )
+
+
+class _NanGramMap(ScaledIdentity):
+    """B = c I whose lambda_min(B B^T) reads NaN, as a broken eigensolver might."""
+
+    lambda_min_bbt = math.nan
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("change,message", [
+        ({"y_grad_lipschitz": math.nan}, "Lipschitz constant must be >= 0"),
+        ({"y_grad_lipschitz": -1.0}, "Lipschitz constant must be >= 0"),
+        ({"lin_map": _NanGramMap(-1.0, (4,))}, re.escape("lambda_min(B B^T) must be positive")),
+    ], ids=["nan-lg", "negative-lg", "nan-lambda-min"])
+    def test_problem_constants_checked_at_construction(self, change, message):
+        with pytest.raises(iadmm.ConfigError, match=message):
+            dataclasses.replace(toy_problem(*quadratic_toy()), **change)
 
 
 @pytest.mark.parametrize("module", [iadmm, logmf], ids=["iadmm", "logmf"])

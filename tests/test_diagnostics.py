@@ -211,6 +211,10 @@ class TestTheorem1:
         assert not rep.passed
         assert math.isnan(rep.worst_violation)
 
+    def test_empty_trace_is_inconclusive(self):
+        rep = check_theorem1_residual([], SolverConfig(), 0.05)
+        assert (rep.status, rep.passed, rep.location) == ("inconclusive", False, None)
+
 
 class TestCheckReport:
     def test_passed_iff_within_tolerance(self):

@@ -601,3 +601,11 @@ class TestTraceCsv:
         path.write_text(text)
         with pytest.raises(TraceFormatError, match=re.escape(str(path))):
             read_trace_csv(path)
+
+    def test_non_numeric_cell_error_names_row_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = ["0,0,1,1,nan,1,1,1,0,0,0", "1,0,1,1,x,1,1,1,0,0,0"]
+        path.write_text("\n".join([",".join(TRACE_COLUMNS), *rows]) + "\n")
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"trace {path}: row 1, column lyapunov is not a number"
