@@ -53,7 +53,10 @@ class LinearMap:
 
     Besides forward/adjoint applications the solver needs the extreme
     eigenvalues of the two Gram matrices and solves with ridge-shifted
-    normal equations (scale * B^T B + shift * I).
+    normal equations (scale * B^T B + shift * I).  ``apply`` and ``apply_t``
+    return a new array or their argument, never an array the map keeps: the
+    solver may write into the result when the argument is a temporary of its
+    own.
     """
 
     y_shape: tuple[int, ...]

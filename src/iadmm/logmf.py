@@ -141,12 +141,13 @@ def logistic_loss(w: Array, y: Array, c: float) -> float:
     """sum (1 + c y - y) softplus(w) - c y w.
 
     Bit for bit ``sum((1 + (c - 1) y) * softplus(w)) - c * sum(y * w)``; the
-    weights and y w share one buffer.
+    weights and y w share one buffer, made after softplus has freed its second.
     """
     w = np.asarray(w, dtype=float)
+    sp = softplus(w)
     buf = np.multiply(c - 1.0, y, out=np.empty_like(w))
     np.add(1.0, buf, out=buf)
-    total = np.sum(np.multiply(buf, softplus(w), out=buf))
+    total = np.sum(np.multiply(buf, sp, out=buf))
     return float(total - c * np.sum(np.multiply(y, w, out=buf)))
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,40 @@ class TestInflatedModulus:
         assert not np.array_equal(half.x[0], other.x[0])
 
 
+class TestWorkingSet:
+    """Traced peak of a run above its start, in m x n float64 arrays.
+
+    At 400 x 300, rank 10, the blocks are small next to one m x n array, so
+    the peak counts the iterate-sized arrays that one iteration holds at once.
+    """
+
+    M, N, RANK, ITERS = 400, 300, 10, 4
+
+    @classmethod
+    def _peak(cls, fn) -> float:
+        fn()  # a first call takes numpy's one-time allocations out of the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / (cls.M * cls.N * 8)
+
+    @pytest.mark.parametrize("check_level", ["off", "cheap", "full"])
+    def test_run_holds_at_most_13_arrays(self, check_level):
+        inst, p, u0, v0 = small_logmf(self.M, self.N, self.RANK)
+        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=self.ITERS,
+                           check_level=check_level)
+        hook = {"model_objective": logmf.model_objective_metric(inst)}
+        assert self._peak(lambda: run(p, cfg, [u0, v0], extra_metrics=hook)) <= 13.0
+
+    def test_gd_run_holds_at_most_3_6_arrays(self):
+        inst, _, u0, v0 = small_logmf(self.M, self.N, self.RANK)
+        assert self._peak(lambda: logmf.gd_run(u0, v0, inst, max_iters=self.ITERS)) <= 3.6
+
+
 class TestRunInvariants:
     def test_hook_states_are_distinct_and_kept(self):
         _, p, u0, v0 = small_logmf()
@@ -139,6 +174,33 @@ class TestRunInvariants:
         assert [state.k for state in kept] == list(range(7))
         assert len({id(state) for state in kept}) == 7
         assert kept[-1].x is res.x and kept[-1].y is res.y
+
+    def test_nothing_held_is_written(self):
+        # every array a hook keeps, and every start array, reads the same after
+        # the run as when it was handed over
+        _, p, u0, v0 = small_logmf()
+        rng = np.random.default_rng(5)
+        y0, omega0 = rng.standard_normal((10, 8)), rng.standard_normal((10, 8))
+        starts = [u0, v0, y0, omega0]
+        start_copies = [a.copy() for a in starts]
+        kept = []
+
+        def arrays(state):
+            return [*state.x, *state.dx, state.y, state.dy, state.omega, state.domega,
+                    *state.chi, state.coupling_cur]
+
+        def keep(state):
+            kept.append((state, [a.copy() for a in arrays(state)]))
+            return 0.0
+
+        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=6, check_level="full")
+        run(p, cfg, [u0, v0], y0=y0, omega0=omega0, extra_metrics={"keep": keep})
+        assert len(kept) == 7
+        for state, copies in kept:
+            for held, copy in zip(arrays(state), copies, strict=True):
+                assert held.tobytes() == copy.tobytes()
+        for held, copy in zip(starts, start_copies):
+            assert held.tobytes() == copy.tobytes()
 
     def test_eta_range_read_off_the_trace(self):
         _, p, u0, v0 = small_logmf()
