@@ -190,9 +190,10 @@ class ProblemSpec:
         f_i(u) + <h(u, rest), dual_vec> + beta/2 ||h(u, rest)||^2
               + <lin, u> + weight/2 ||u - anchor||^2.
 
-    All oracles must be deterministic functions of their arguments.  The
-    experiment runner builds one ProblemSpec per run; with ``jobs > 1`` the
-    oracles of different runs execute concurrently on pool threads.
+    All oracles must be deterministic functions of their arguments; the
+    solver relies on this and does not check it.  The experiment runner
+    builds one ProblemSpec per run; with ``jobs > 1`` the oracles of
+    different runs execute concurrently on pool threads.
     """
 
     block_shapes: tuple[tuple[int, ...], ...]

@@ -17,9 +17,12 @@ minimum of ``(t_prev - 1)/t_cur`` with ``t`` obeying the standard
 per-block carry-over inequality ``gamma_i^k <= B1 * eta_i^{k-1}`` between the
 proximal-descent coefficients of consecutive iterations.
 
-The engine verifies its own behavior while running (``check_level``):
-"cheap" recomputes the multiplier identity, the y-step normal equations and
-each block's first-order optimality from fresh oracle calls every iteration;
+The engine verifies its own behavior while running (``check_level``).
+"cheap" checks every iteration that each block step minimizes its
+subproblem, by comparing values of the subproblem and of f_i at the new
+block p, the extrapolated block and the prox center p + chi/w; that the y
+step solves its normal equations, with B and B^T applied afresh to the
+solution and the gradient of G the step used; and the multiplier identity.
 "full" additionally asserts the per-block descent inequality and the y-step
 sufficient decrease of the augmented Lagrangian.  Those Lagrangians are
 assembled from values taken once per visited point: the x part of the
@@ -27,7 +30,9 @@ objective and h at each post-update block point (the last block's h is
 also the h(x_new) of the y step), B y once per sweep, and the objective
 and h(x) + B y after the y step, which the trace record reuses; G(y) of
 that objective is carried into the next sweep.  Violations raise
-:class:`~iadmm.core.InvariantViolation`.
+:class:`~iadmm.core.InvariantViolation`.  At every level a run stops with
+``stop_reason="nonfinite"`` after a record whose objective, augmented
+Lagrangian or feasibility gap is not finite.
 """
 
 from __future__ import annotations
@@ -323,7 +328,7 @@ def _descent_coefficients(
     The penalty-linearized rule scales by beta because its proximal weight
     is beta * kappa; the other two rules use the plain weight kappa.
     """
-    scale = beta if rule is UpdateRule.PENALTY_LINEARIZED else 1.0
+    scale = _weight_scale(rule, beta)
     if exact_kappa:
         eta = 0.5 * scale * lip
         gamma = 0.5 * scale * lip * alpha * alpha
@@ -333,6 +338,11 @@ def _descent_coefficients(
         eta = 0.5 * (1.0 - nu) * rho
         gamma = a * a / (2.0 * nu * rho) if alpha != 0.0 else 0.0
     return eta, gamma
+
+
+def _weight_scale(rule: UpdateRule, beta: float) -> float:
+    """The factor of kappa in the rule's proximal weight: beta under penalty_linearized, else 1."""
+    return beta if rule is UpdateRule.PENALTY_LINEARIZED else 1.0
 
 
 @dataclass
@@ -357,8 +367,8 @@ class IterateState:
     ``domega``, ``coupling_cur``) alive.  ``run`` itself releases each
     array that would outlive the peak right after its last reader: on logmf
     at 400 x 300, rank 10, with the ``model_objective`` hook, a run peaks at
-    10.3 arrays of the m x n constraint shape above its start at ``off`` and
-    at 10.5 at ``cheap`` and ``full``.
+    10.3 arrays of the m x n constraint shape above its start at every
+    ``check_level``.
     """
 
     x: tuple
@@ -485,8 +495,10 @@ def update_block(
     lin, weight = _linearization(p, rule, i, _with(blocks, i, xbar), dual_vec, beta, kappa)
     if rule is UpdateRule.PENALTY_EXACT:
         x_new = p.coupled_prox(i, blocks, dual_vec, beta, lin, weight, xbar)
-        chi = -(_exact_grad(p, i, blocks, x_new, dual_vec, beta, lin) + weight * (x_new - xbar))
-        return x_new, chi
+        # the subproblem's first-order condition: the penalty gradient at x_new
+        # plus lin (grad F at the probe) plus the proximal term
+        grad = _penalty_grad(p, i, _with(blocks, i, x_new), dual_vec, beta) + lin
+        return x_new, -(grad + weight * (x_new - xbar))
     center = xbar - lin / weight
     x_new = p.separable_prox(i, center, weight)
     chi = weight * (center - x_new)
@@ -508,24 +520,13 @@ def _linearization(
     gradient of the linearized terms there (for penalty_exact, of F alone)
     and ``weight`` the proximal weight of the rule (beta * kappa or kappa).
     """
+    weight = _weight_scale(rule, beta) * kappa
     if rule is UpdateRule.PENALTY_EXACT:
-        return p.smooth_grad_block(i, probe), kappa
+        return p.smooth_grad_block(i, probe), weight
     lin = _penalty_grad(p, i, probe, dual_vec, beta)
     if rule is UpdateRule.FULLY_LINEARIZED:
-        return lin + p.smooth_grad_block(i, probe), kappa
-    return lin, beta * kappa
-
-
-def _exact_grad(
-    p: ProblemSpec, i: int, blocks: Sequence[Array], x_new: Array, dual_vec: Array,
-    beta: float, lin: Array,
-) -> Array:
-    """Penalty gradient at ``x_new`` (in slot i of ``blocks``) plus ``lin``.
-
-    Under penalty_exact this is the subproblem's gradient at ``x_new`` less
-    the separable and proximal terms; ``lin`` is grad F at the probe.
-    """
-    return _penalty_grad(p, i, _with(blocks, i, x_new), dual_vec, beta) + lin
+        lin = lin + p.smooth_grad_block(i, probe)
+    return lin, weight
 
 
 def _with(blocks: Sequence[Array], i: int, value: Array) -> list:
@@ -541,30 +542,48 @@ def _penalty_grad(
     return p.coupling_jac_t(i, blocks, dual_vec + beta * p.coupling_value(blocks))
 
 
-def _block_optimality_residual(
-    p: ProblemSpec,
-    rule: UpdateRule,
-    i: int,
-    blocks: Sequence[Array],
-    xbar: Array,
-    x_new: Array,
-    chi: Array,
-    dual_vec: Array,
-    beta: float,
-    kappa: float,
+def _check_block_optimality(
+    p: ProblemSpec, rule: UpdateRule, i: int, blocks: Sequence[Array], xbar: Array, chi: Array,
+    dual_vec: Array, beta: float, kappa: float, convex: bool, where: str,
 ) -> float:
-    """Recompute the subproblem's first-order residual from fresh oracle calls.
+    """Certify by values that ``blocks[i]`` exactly minimizes block i's subproblem.
 
-    The residual is zero by construction under all three rules, since
-    ``chi`` is defined by the same identity.  It is nonzero only when an
-    oracle answers the same arguments differently, which breaks the
-    determinism contract of :class:`~iadmm.core.ProblemSpec`; a wrong prox
-    passes (a ``separable_prox`` scaled by 0.9 leaves it near 1e-15).
+    The subproblem is phi(u) = f_i(u) + <lin, u - xbar> + w/2 ||u - xbar||^2,
+    plus <h(u, rest), dual_vec> + beta/2 ||h(u, rest)||^2 under penalty_exact
+    (measured from xbar, so its scale does not depend on the origin).  Its
+    exact minimizer p satisfies phi(z) >= phi(p) + c w/2 ||z - p||^2 for every
+    z, where c = 1 under the linearized rules when f_i is ``convex`` (phi is
+    then w-strongly convex) and c = 0 otherwise.  The test runs at z = xbar.
+    At the prox center z = p + chi/w the linearized rules' inequality reads
+    f_i(z) >= f_i(p) + (1 + c)/2 <chi, z - p>.  For convex f_i that is the
+    subgradient inequality, which penalty_exact's chi (the subproblem's
+    first-order condition at p) must pass as well.  The linearized rules
+    recover lin from the prox identity chi = w (xbar - lin/w - p), so they
+    form no product with the coupling's Jacobian.  Each test is decided by
+    :func:`_check_descent`; returns the largest normalized shortfall, which
+    is <= 0 for an exact minimizer.
     """
-    lin, weight = _linearization(p, rule, i, _with(blocks, i, xbar), dual_vec, beta, kappa)
+    x_new, step = blocks[i], blocks[i] - xbar
+    f_new = p.separable_value(i, x_new)
     if rule is UpdateRule.PENALTY_EXACT:
-        lin = _exact_grad(p, i, blocks, x_new, dual_vec, beta, lin)
-    return norm(chi + lin + weight * (x_new - xbar))
+        probe = _with(blocks, i, xbar)
+        lin, weight = _linearization(p, rule, i, probe, dual_vec, beta, kappa)
+        f_bar = p.separable_value(i, xbar)
+        at_bar = lagrangian_from_parts(f_bar, p.coupling_value(probe), dual_vec, beta)
+        at_new = lagrangian_from_parts(f_new, p.coupling_value(blocks), dual_vec, beta)
+    else:
+        weight = _weight_scale(rule, beta) * kappa
+        lin = -(weight * step + chi)
+        at_bar, at_new = p.separable_value(i, xbar), f_new
+    at_new += vdot(lin, step) + 0.5 * weight * vdot(step, step)
+    strong = convex and rule is not UpdateRule.PENALTY_EXACT
+    pairs = [(at_new + 0.5 * strong * weight * vdot(step, step), at_bar)]
+    if convex or rule is not UpdateRule.PENALTY_EXACT:
+        shift = chi / weight
+        pairs.append((f_new + 0.5 * (1 + convex) * vdot(chi, shift),
+                      p.separable_value(i, x_new + shift)))
+    return max(_check_descent(lhs, rhs, at_new, where, BLOCK_OPTIMALITY_RTOL)
+               for lhs, rhs in pairs)
 
 
 def update_y(
@@ -580,17 +599,22 @@ def update_y(
 
 
 def y_optimality_residual(
-    p: ProblemSpec, beta: float, y_old: Array, y_new: Array, omega: Array, h_new: Array
+    p: ProblemSpec, beta: float, y_old: Array, grad_y: Array, omega: Array, h_new: Array,
+    y_new: Array,
 ) -> tuple[float, float]:
-    """Residual of the y-step first-order condition and its natural scale."""
+    """Residual of the first-order condition of the y step that gave ``y_new``, and its scale.
+
+    The arguments before ``y_new`` are those of :func:`update_y`; ``grad_y``
+    is the gradient of G at ``y_old`` that the step used.  The check applies
+    B and B^T to ``y_new`` afresh, so it tests ``solve_ridge`` against them.
+    """
     lg = p.y_grad_lipschitz
     t1 = p.lin_map.apply_t(omega + beta * (h_new + p.lin_map.apply(y_new)))
-    t2 = p.y_grad(y_old)
     t3 = lg * (y_new - y_old)
-    scale = 1.0 + max(norm(t1), norm(t2), norm(t3))
-    # t1 + t2 + t3 without two temporaries: t1 is apply_t of a sum formed here,
-    # so the LinearMap contract lets it be written
-    t1 += t2
+    scale = 1.0 + max(norm(t1), norm(grad_y), norm(t3))
+    # t1 + grad_y + t3 without two temporaries: t1 is apply_t of a sum formed
+    # here, so the LinearMap contract lets it be written
+    t1 += grad_y
     t1 += t3
     return norm(t1), scale
 
@@ -616,11 +640,18 @@ def _check_residual(
         raise InvariantViolation(f"{where} residual {res:.3e} exceeds {bound:.3e}")
 
 
-def _check_descent(lhs: float, rhs: float, ref: float, where: str) -> None:
-    """Raise unless ``lhs <= rhs`` up to the slack NSDP_RTOL * (1 + |ref|); a NaN fails."""
-    slack = NSDP_RTOL * (1.0 + abs(ref))
+def _check_descent(
+    lhs: float, rhs: float, ref: float, where: str, rtol: float = NSDP_RTOL
+) -> float:
+    """Raise unless ``lhs <= rhs`` up to the slack rtol * (1 + |ref|); a NaN fails.
+
+    Returns the normalized shortfall (lhs - rhs) / (1 + |ref|).
+    """
+    scale = 1.0 + abs(ref)
+    slack = rtol * scale
     if not lhs <= rhs + slack:
         raise InvariantViolation(f"{where} violated by {lhs - rhs:.3e} (slack {slack:.3e})")
+    return (lhs - rhs) / scale
 
 
 def run(
@@ -657,8 +688,10 @@ def run(
 
     use_nesterov = Extrapolation(cfg.extrapolation) is Extrapolation.NESTEROV
     max_iters = cfg.max_iters if cfg.max_iters is not None else (1 << 62)
-    # each block's modulus rule depends only on the rule and its declared traits
+    # each block's modulus rule and optimality certificate depend only on the
+    # rule and its declared traits
     exact = [_exact_kappa_ok(rule, p.traits(i)) for i in range(p.s)]
+    convex = [p.traits(i).separable_convex for i in range(p.s)]
     stop_reason = "max_iters"
 
     for it in range(max_iters):
@@ -703,14 +736,11 @@ def run(
             sweep.append((step, lip, kappa, alpha, eta, chi))
 
             if checked:
-                _check_residual(
-                    extras, "block_opt_rel",
-                    _block_optimality_residual(
-                        p, rule, i, blocks, xbar, x_new, chi, dual_vec, beta, kappa
-                    ),
-                    1.0 + norm(x_new), BLOCK_OPTIMALITY_RTOL,
+                gap = _check_block_optimality(
+                    p, rule, i, blocks, xbar, chi, dual_vec, beta, kappa, convex[i],
                     f"iteration {it}, block {i}: subproblem optimality",
                 )
+                extras["block_opt_rel"] = max(extras.get("block_opt_rel", gap), gap)
             if full:
                 h_new = p.coupling_value(blocks)
                 al_after = lagrangian_from_parts(
@@ -728,14 +758,14 @@ def run(
         if not full:  # at full, the last block's check already took h at these blocks
             h_new = p.coupling_value(blocks)
         y_new = update_y(p, beta, y, grad_y, omega, h_new)
-        del grad_y
         p.check_y(y_new)  # the linear map's solve_ridge is caller-supplied
         if checked:
             _check_residual(
                 extras, "y_opt_rel",
-                *y_optimality_residual(p, beta, y, y_new, omega, h_new),
+                *y_optimality_residual(p, beta, y, grad_y, omega, h_new, y_new),
                 Y_OPTIMALITY_RTOL, f"iteration {it}: y-step optimality",
             )
+        del grad_y
         y, dy = y_new, y_new - y
         # G(y) is carried into the next sweep's descent checks
         g_y = p.y_value(y)
@@ -769,8 +799,9 @@ def run(
         record.extras.update(extras)
         trace.append(record)
 
-        if cfg.tolerance > 0.0 and res.max_residual <= cfg.tolerance:
-            stop_reason = "tolerance"
+        finite = all(map(math.isfinite, (record.objective, record.aug_lagrangian, record.feas)))
+        if not finite or cfg.tolerance > 0.0 and res.max_residual <= cfg.tolerance:
+            stop_reason = "tolerance" if finite else "nonfinite"
             break
 
     wall = time.perf_counter() - start

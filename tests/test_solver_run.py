@@ -386,21 +386,29 @@ class TestInvariantsFire:
                            check_level=check_level, **kw)
         return run(p, cfg, [np.zeros(4)])
 
-    def test_block_optimality(self):
-        # an oracle that answers the same arguments differently on every second call
-        p = toy_problem(*quadratic_toy())
-        jac_t, calls = p.coupling_jac_t, []
+    @staticmethod
+    def _wrong_block_step(rule):
+        """The toy under ``rule`` with each block step 0.1% off its subproblem's minimizer."""
+        p = toy_problem(*quadratic_toy(), rule=rule)
+        if rule == "penalty_exact":
+            exact = p.coupled_prox
 
-        def skewed(i, blocks, r):
-            calls.append(None)
-            return jac_t(i, blocks, r) * (1.0 + 1e-6 * (len(calls) % 2 == 0))
+            def short(*args):  # stops short of the minimizer, toward the anchor
+                u = exact(*args)
+                return u + 1e-3 * (args[-1] - u)
 
-        p = dataclasses.replace(p, coupling_jac_t=skewed)
-        self._run(p, "off")
+            return dataclasses.replace(p, coupled_prox=short)
+        prox = p.separable_prox
+        return dataclasses.replace(p, separable_prox=lambda i, c, w: 0.999 * prox(i, c, w))
+
+    @pytest.mark.parametrize("rule", ["penalty_linearized", "fully_linearized", "penalty_exact"])
+    def test_block_optimality(self, rule):
+        p = self._wrong_block_step(rule)
+        self._run(p, "off", update_rule=rule)
         with pytest.raises(InvariantViolation, match=(
-            r"^iteration \d+, block 0: subproblem optimality residual \S+ exceeds \S+$"
+            r"^iteration \d+, block 0: subproblem optimality violated by \S+ \(slack \S+\)$"
         )):
-            self._run(p, "cheap")
+            self._run(p, "cheap", update_rule=rule)
 
     def test_block_descent(self):
         # a block modulus ten times too small breaks the per-block descent
@@ -459,9 +467,9 @@ class TestInvariantsFire:
 
     def test_nan_block_solution(self):
         res = self._run(self._nan_from("separable_prox", 4), "off")
-        assert np.isnan(res.x[0]).all()
+        assert np.isnan(res.x[0]).all() and res.stop_reason == "nonfinite"
         with pytest.raises(InvariantViolation, match=(
-            r"^iteration 3, block 0: subproblem optimality residual nan exceeds \S+$"
+            r"^iteration 3, block 0: subproblem optimality violated by nan \(slack \S+\)$"
         )):
             self._run(self._nan_from("separable_prox", 4), "cheap")
 
@@ -472,6 +480,13 @@ class TestInvariantsFire:
         )):
             self._run(self._nan_from("y_value", 6), "full")
 
+    def test_nonfinite_record_stops_the_run_at_off(self):
+        # the record that first holds the NaN is kept, and the run ends after it
+        res = self._run(self._nan_from("y_value", 6), "off")
+        assert (res.stop_reason, res.iterations, len(res.trace)) == ("nonfinite", 5, 6)
+        assert math.isnan(res.trace[-1].objective)
+        assert all(math.isfinite(rec.objective) for rec in res.trace[:-1])
+
 
 class TestOracleCalls:
     N = 20
@@ -481,7 +496,8 @@ class TestOracleCalls:
         inst, p, u0, v0 = small_logmf()
         counts = dict.fromkeys(
             ("y_grad", "y_value", "coupling_value", "coupling_jac_t",
-             "block_penalty_lipschitz", "separable_prox", "lin_map.apply"), 0
+             "block_penalty_lipschitz", "separable_prox", "separable_value",
+             "lin_map.apply"), 0
         )
 
         def counted(fn, name):
@@ -503,7 +519,8 @@ class TestOracleCalls:
     def test_calls_per_run_at_check_off(self):
         # pins the per-run oracle work: one coupling value per block sweep
         # step, one y gradient per iteration (reused by the next y step),
-        # one B y per iteration (shared by the residual and the next sweep)
+        # one B y per iteration (shared by the residual and the next sweep),
+        # and f_i of each block once per record
         counts = self._counted_run("off")
         n = self.N
         assert counts == {
@@ -513,6 +530,7 @@ class TestOracleCalls:
             "coupling_jac_t": 4 * n,
             "block_penalty_lipschitz": 2 * n,
             "separable_prox": 2 * n,
+            "separable_value": 2 * n + 2,
             "lin_map.apply": n + 2,
         }
 
@@ -520,41 +538,52 @@ class TestOracleCalls:
         # the descent checks evaluate each visited point once: B y once per
         # sweep, h once per post-update block point (the last one shared with
         # the y step), and the objective after the y step is shared with the
-        # record, whose G(y) is carried into the next sweep
+        # record, whose G(y) is carried into the next sweep.  Per iteration,
+        # with 2 blocks: h 4 times (each block's linearization and descent
+        # check; the last check's h is the y step's), J^T 4 times (2 in the
+        # sweep, 2 in the record), f_i 12 times (per block: 1 in the record,
+        # 2 in the descent checks, 3 in the optimality certificate) and B y
+        # twice (the record's and the y check's).  The y check reuses the
+        # step's own grad G.
         counts = self._counted_run("full")
         n = self.N
         assert counts == {
-            "y_grad": 2 * n + 1,
+            "y_grad": n + 1,
             "y_value": n + 1,
-            "coupling_value": 6 * n + 1,
-            "coupling_jac_t": 6 * n,
+            "coupling_value": 4 * n + 1,
+            "coupling_jac_t": 4 * n,
             "block_penalty_lipschitz": 2 * n,
             "separable_prox": 2 * n,
+            "separable_value": 12 * n + 2,
             "lin_map.apply": 2 * n + 2,
         }
 
     # per iteration on the one-block toy: both rules take h and J^T once for
-    # the subproblem's gradient, h once for the y step and J^T and grad F once
-    # for the record; cheap recomputes the subproblem's gradient once more
+    # the subproblem's gradient, h once for the y step, J^T and grad F once
+    # and f once for the record.  cheap's certificate adds f at the new block,
+    # the extrapolated block and the prox center; penalty_exact's also takes
+    # grad F at the extrapolated block and h there and at the new block
     @pytest.mark.parametrize("rule,check_level,per_iter", [
         ("fully_linearized", "off", dict(coupling_value=2, coupling_jac_t=2,
                                          smooth_grad_block=2, block_smooth_lipschitz=1,
-                                         block_penalty_lipschitz=1, separable_prox=1)),
-        ("fully_linearized", "cheap", dict(coupling_value=3, coupling_jac_t=3,
-                                           smooth_grad_block=3, block_smooth_lipschitz=1,
-                                           block_penalty_lipschitz=1, separable_prox=1)),
+                                         block_penalty_lipschitz=1, separable_prox=1,
+                                         separable_value=1)),
+        ("fully_linearized", "cheap", dict(coupling_value=2, coupling_jac_t=2,
+                                           smooth_grad_block=2, block_smooth_lipschitz=1,
+                                           block_penalty_lipschitz=1, separable_prox=1,
+                                           separable_value=4)),
         ("penalty_exact", "off", dict(coupling_value=2, coupling_jac_t=2,
                                       smooth_grad_block=2, block_smooth_lipschitz=1,
-                                      coupled_prox=1)),
-        ("penalty_exact", "cheap", dict(coupling_value=3, coupling_jac_t=3,
+                                      coupled_prox=1, separable_value=1)),
+        ("penalty_exact", "cheap", dict(coupling_value=4, coupling_jac_t=2,
                                         smooth_grad_block=3, block_smooth_lipschitz=1,
-                                        coupled_prox=1)),
+                                        coupled_prox=1, separable_value=4)),
     ])
     def test_toy_calls_per_run_by_rule(self, rule, check_level, per_iter):
         p = toy_problem(*quadratic_toy(), rule=rule)
         names = ("coupling_value", "coupling_jac_t", "smooth_grad_block",
                  "block_smooth_lipschitz", "block_penalty_lipschitz", "separable_prox",
-                 "coupled_prox")
+                 "coupled_prox", "separable_value")
         counts = dict.fromkeys(names, 0)
 
         def counted(fn, name):
@@ -572,6 +601,7 @@ class TestOracleCalls:
         run(p, cfg, [np.zeros(4)])
         expected = {name: self.N * per_iter.get(name, 0) for name in names}
         expected["coupling_value"] += 1  # h(x0)
+        expected["separable_value"] += 1  # the objective at x0
         assert counts == expected
 
     def test_recorded_lagrangian_equals_core(self):

@@ -215,8 +215,9 @@ class TestUpdateY:
         w = rng.standard_normal((2, 2))
         omega = rng.standard_normal((2, 2))
         uv = rng.standard_normal((2, 2))
-        y_new = update_y(p, 1.0, w, p.y_grad(w), omega, uv)
-        res, scale = y_optimality_residual(p, 1.0, w, y_new, omega, uv)
+        grad_y = p.y_grad(w)
+        y_new = update_y(p, 1.0, w, grad_y, omega, uv)
+        res, scale = y_optimality_residual(p, 1.0, w, grad_y, omega, uv, y_new)
         assert res <= 1e-12 * scale
 
 
