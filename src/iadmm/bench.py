@@ -288,8 +288,6 @@ def _run_one(cfg: ExperimentConfig, cell: tuple, inputs: tuple,
             c1=constants.c1,
             c3=constants.c3,
             gate_warnings=list(constants.warnings),
-            eta_min=list(result.eta_min),
-            eta_max=list(result.eta_max),
         )
     meta["final_objective"] = trace[-1].extras["model_objective"]
     write_trace_csv(out_dir / meta["file"], trace)

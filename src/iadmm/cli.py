@@ -115,16 +115,6 @@ def _cmd_check(args) -> int:
             tolerance=manifest["config"]["tolerance"],
         )
         reports.append((meta["file"], check_theorem1_residual(rows, cfg, 0.05), False))
-        ratios = [
-            lo / hi for lo, hi in zip(meta["eta_min"], meta["eta_max"]) if hi > 0
-        ]
-        if ratios:
-            bound = min(ratios)
-            certified = manifest["config"]["b1"] < bound
-            print(
-                f"     MONITOR  momentum bound: b1={manifest['config']['b1']:g} "
-                f"{'<' if certified else '>='} min eta ratio {bound:.4f}  {meta['file']}"
-            )
     lines = []
     for fname, report, advisory in reports:
         status = report.status.upper()

@@ -26,19 +26,22 @@ solution and the gradient of G the step used; and the multiplier identity.
 "full" additionally asserts the per-block descent inequality and the y-step
 sufficient decrease of the augmented Lagrangian.  Those Lagrangians are
 assembled from values taken once per visited point: the x part of the
-objective and h at each post-update block point (the last block's h is
-also the h(x_new) of the y step), B y once per sweep, and the objective
-and h(x) + B y after the y step, which the trace record reuses; G(y) of
-that objective is carried into the next sweep.  Violations raise
-:class:`~iadmm.core.InvariantViolation`.  At every level a run stops with
-``stop_reason="nonfinite"`` after a record whose objective, augmented
-Lagrangian or feasibility gap is not finite.
+objective and h at each post-update block point (shared with penalty_exact's
+certificate there; the last block's h is also the h(x_new) of the y step),
+B y once per sweep, and the objective and h(x) + B y after the y step, which
+the trace record reuses; G(y) of that objective is carried into the next
+sweep.  Each check runs inside the phase it checks (:func:`_sweep`,
+:func:`_y_step`, :func:`_multiplier_step`) except the y sufficient decrease,
+which :func:`run` asserts once the point after the y step is evaluated.
+Violations raise :class:`~iadmm.core.InvariantViolation`.  At every level a
+run stops with ``stop_reason="nonfinite"`` after a record whose objective,
+augmented Lagrangian or feasibility gap is not finite.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-import functools
 import math
 import numbers
 import time
@@ -364,11 +367,13 @@ class IterateState:
     ``run`` builds one state per accepted iterate and never changes it
     afterwards, so a metric hook may keep the state it is given.  A kept
     state keeps its five iterate-sized arrays (``y``, ``dy``, ``omega``,
-    ``domega``, ``coupling_cur``) alive.  ``run`` itself releases each
-    array that would outlive the peak right after its last reader: on logmf
-    at 400 x 300, rank 10, with the ``model_objective`` hook, a run peaks at
-    10.3 arrays of the m x n constraint shape above its start at every
-    ``check_level``.
+    ``domega``, ``coupling_cur``) alive.  Each phase of an iteration frees
+    its own temporaries when it returns, and ``run`` drops the previous
+    ``coupling_cur`` before the sweep and the rest of the previous state
+    before the y step: on logmf at 400 x 300, rank 10, with the
+    ``model_objective`` hook, a run peaks at 10.3 arrays of the m x n
+    constraint shape above its start at every ``check_level``, in the y
+    step.
     """
 
     x: tuple
@@ -422,6 +427,14 @@ TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))[:-3]
 
 @dataclass
 class RunResult:
+    """What :func:`run` returns: the final iterates, the trace (the initial
+    record, then one per iteration), the derived constants, why the run
+    stopped, the number of iterations and the wall time from the start.
+
+    The per-block coefficients eta_i of each iteration stay in the trace's
+    records; the extrapolation cap certifies their carry-over at each step.
+    """
+
     x: tuple
     y: Array
     omega: Array
@@ -430,8 +443,6 @@ class RunResult:
     stop_reason: str
     iterations: int
     wall_time_s: float
-    eta_min: tuple[float, ...]
-    eta_max: tuple[float, ...]
 
 
 def lyapunov_value(
@@ -544,7 +555,7 @@ def _penalty_grad(
 
 def _check_block_optimality(
     p: ProblemSpec, rule: UpdateRule, i: int, blocks: Sequence[Array], xbar: Array, chi: Array,
-    dual_vec: Array, beta: float, kappa: float, convex: bool, where: str,
+    dual_vec: Array, beta: float, kappa: float, convex: bool, h_new: Optional[Array], where: str,
 ) -> float:
     """Certify by values that ``blocks[i]`` exactly minimizes block i's subproblem.
 
@@ -559,7 +570,9 @@ def _check_block_optimality(
     subgradient inequality, which penalty_exact's chi (the subproblem's
     first-order condition at p) must pass as well.  The linearized rules
     recover lin from the prox identity chi = w (xbar - lin/w - p), so they
-    form no product with the coupling's Jacobian.  Each test is decided by
+    form no product with the coupling's Jacobian.  ``h_new`` is h at
+    ``blocks``, which the sweep takes once for the certificate and the
+    descent check; only penalty_exact reads it.  Each test is decided by
     :func:`_check_descent`; returns the largest normalized shortfall, which
     is <= 0 for an exact minimizer.
     """
@@ -570,7 +583,7 @@ def _check_block_optimality(
         lin, weight = _linearization(p, rule, i, probe, dual_vec, beta, kappa)
         f_bar = p.separable_value(i, xbar)
         at_bar = lagrangian_from_parts(f_bar, p.coupling_value(probe), dual_vec, beta)
-        at_new = lagrangian_from_parts(f_new, p.coupling_value(blocks), dual_vec, beta)
+        at_new = lagrangian_from_parts(f_new, h_new, dual_vec, beta)
     else:
         weight = _weight_scale(rule, beta) * kappa
         lin = -(weight * step + chi)
@@ -667,128 +680,57 @@ def run(
     When ``y0`` is omitted it is chosen feasible (solving B y = -h(x0) by
     least squares) if the linear map supports that and the fit is exact,
     else zero.  ``omega0`` defaults to zero.  Deterministic for fixed
-    inputs and iteration budget.  Returns the final iterates, the trace
-    (one record per iteration plus the initial one), and the observed
-    range of the per-block descent coefficients.
+    inputs and iteration budget.  Returns the final iterates and the trace
+    (one record per iteration plus the initial one).
+
+    An iteration is three phases, each with its own checks and temporaries:
+    :func:`_sweep`, :func:`_y_step` and :func:`_multiplier_step`, then
+    :func:`_record`.  ``run`` keeps the start, the budget and stop rule, the
+    y sufficient decrease at ``full`` (it reads the objective and residual
+    that :func:`_evaluate` takes after the y step) and the state assembly.
     """
     consts = validate_config(cfg, p)
-    beta, tau1, tau2, nu = cfg.beta, cfg.tau1, cfg.tau2, float(cfg.nu)
-    rule = UpdateRule(cfg.update_rule)
-    check = CheckLevel(cfg.check_level)
-    checked, full = check is not CheckLevel.OFF, check is CheckLevel.FULL
+    rule, check = UpdateRule(cfg.update_rule), CheckLevel(cfg.check_level)
+    # each block's modulus rule and optimality certificate depend only on the
+    # rule and its declared traits: (exact kappa, convex f_i) per block
+    plan = [(_exact_kappa_ok(rule, t), t.separable_convex) for t in map(p.traits, range(p.s))]
+    use_nesterov = Extrapolation(cfg.extrapolation) is Extrapolation.NESTEROV
+    max_iters = cfg.max_iters if cfg.max_iters is not None else (1 << 62)
 
     state = _start_state(p, x0, y0, omega0)
     start = time.perf_counter()
-    by = p.lin_map.apply(state.y)
-    g_y = p.y_value(state.y)
-    obj = objective_from_parts(x_objective_value(p, state.x), g_y)
-    residual = state.coupling_cur + by
+    g_y, obj, by, residual = _evaluate(p, state.x, state.y, state.coupling_cur)
     record, _, grad_y = _record(p, cfg, consts, state, obj, residual, start, extra_metrics)
     trace: list[TraceRecord] = [record]
-
-    use_nesterov = Extrapolation(cfg.extrapolation) is Extrapolation.NESTEROV
-    max_iters = cfg.max_iters if cfg.max_iters is not None else (1 << 62)
-    # each block's modulus rule and optimality certificate depend only on the
-    # rule and its declared traits
-    exact = [_exact_kappa_ok(rule, p.traits(i)) for i in range(p.s)]
-    convex = [p.traits(i).separable_convex for i in range(p.s)]
     stop_reason = "max_iters"
 
     for it in range(max_iters):
         if cfg.max_seconds is not None and time.perf_counter() - start >= cfg.max_seconds:
             stop_reason = "max_seconds"
             break
-        # An iterate-sized array that would still be alive in a fuller phase (the
-        # y step, the multiplier step or the record) is released right after its
-        # last reader.  Of the state's arrays the iteration reads only y and
-        # omega, and the record read residual last.  The previous dy, domega and
-        # h(x) go when their successors are bound: releasing them earlier lowers
-        # no peak, and it makes the heap shrink and regrow, page faults included,
-        # each iteration.
-        blocks, dx, y, omega = list(state.x), state.dx, state.y, state.omega
-        lip_prev, kappa_prev, t_prev = state.lip, state.kappa, state.t_prev
-        del state, residual
-        t_cur = nesterov_t_next(t_prev) if use_nesterov else 1.0
-
-        dual_vec = omega + beta * by
-        sweep = []  # one (step, lip, kappa, alpha, eta, chi) per block
+        del residual  # the record read it last
         extras: dict[str, float] = {}
-        if full:
-            # the Lagrangian at the sweep's start, as recorded for the current
-            # iterate; g_y = G(y) from the same record stays fixed during the sweep
-            al_before = trace[-1].aug_lagrangian
-
-        for i in range(p.s):
-            lip = _block_modulus(p, rule, beta, i, blocks)
-            if lip < 0.0:
-                raise ConfigError(f"block {i}: negative Lipschitz modulus {lip}")
-            kappa = max(lip if exact[i] else KAPPA_MARGIN * lip, _KAPPA_FLOOR)
-            # 0 without momentum (t stays 1) and on the first iteration (no modulus yet)
-            alpha = extrapolation_weight(
-                t_prev, t_cur, cfg.b1, nu, exact[i], lip_prev[i], kappa_prev[i], lip, kappa
-            )
-            xbar = blocks[i] + alpha * dx[i]
-
-            x_new, chi = update_block(p, rule, i, blocks, xbar, dual_vec, beta, kappa)
-            step = x_new - blocks[i]
-            blocks[i] = x_new
-            eta, gamma = _descent_coefficients(rule, exact[i], beta, nu, lip, kappa, alpha)
-            sweep.append((step, lip, kappa, alpha, eta, chi))
-
-            if checked:
-                gap = _check_block_optimality(
-                    p, rule, i, blocks, xbar, chi, dual_vec, beta, kappa, convex[i],
-                    f"iteration {it}, block {i}: subproblem optimality",
-                )
-                extras["block_opt_rel"] = max(extras.get("block_opt_rel", gap), gap)
-            if full:
-                h_new = p.coupling_value(blocks)
-                al_after = lagrangian_from_parts(
-                    objective_from_parts(x_objective_value(p, blocks), g_y),
-                    h_new + by, omega, beta,
-                )
-                _check_descent(
-                    al_after + eta * vdot(step, step),
-                    al_before + gamma * vdot(dx[i], dx[i]),
-                    al_before, f"iteration {it}, block {i}: descent inequality",
-                )
-                al_before = al_after
-        del dual_vec
-
-        if not full:  # at full, the last block's check already took h at these blocks
-            h_new = p.coupling_value(blocks)
-        y_new = update_y(p, beta, y, grad_y, omega, h_new)
-        p.check_y(y_new)  # the linear map's solve_ridge is caller-supplied
-        if checked:
-            _check_residual(
-                extras, "y_opt_rel",
-                *y_optimality_residual(p, beta, y, grad_y, omega, h_new, y_new),
-                Y_OPTIMALITY_RTOL, f"iteration {it}: y-step optimality",
-            )
+        t_cur = nesterov_t_next(state.t_prev) if use_nesterov else 1.0
+        # the sweep reads no h(x) of the previous state, which goes before the
+        # sweep takes h at its new blocks (at full)
+        state, h_new = dataclasses.replace(state, coupling_cur=None), None
+        blocks, sweep, h_new = _sweep(
+            p, cfg, rule, check, plan, it, state, t_cur, by, g_y, trace[-1].aug_lagrangian, extras
+        )
+        # the previous x and dx go before the y step, where the run peaks; the
+        # previous dy and domega go when their successors are bound
+        y, omega = state.y, state.omega
+        del state
+        y, dy = _y_step(p, cfg.beta, it, y, grad_y, omega, h_new, check, extras)
         del grad_y
-        y, dy = y_new, y_new - y
-        # G(y) is carried into the next sweep's descent checks
-        g_y = p.y_value(y)
-        obj = objective_from_parts(x_objective_value(p, blocks), g_y)
-        by = p.lin_map.apply(y)  # also feeds the next sweep's dual_vec
-        residual = h_new + by
-        if full:
-            # al_before now holds the Lagrangian after the whole block sweep
-            al_after_y = lagrangian_from_parts(obj, residual, omega, beta)
-            _check_descent(
-                al_after_y + 0.5 * consts.delta * vdot(dy, dy), al_before, al_before,
-                f"iteration {it}: y sufficient decrease",
-            )
-            extras.update(al_after_x=al_before, al_after_y=al_after_y)
-        omega_new = update_multiplier(beta, tau1, tau2, omega, residual)
-        if checked:
-            implied = (omega_new - tau1 * omega) / (tau2 * beta)
-            _check_residual(
-                extras, "mult_identity_rel", norm(implied - residual), 1.0 + norm(implied),
-                MULTIPLIER_IDENTITY_RTOL, f"iteration {it}: multiplier identity",
-            )
-            del implied
-        omega, domega = omega_new, omega_new - omega
+        # G(y) is carried into the next sweep's descent checks, B y into its dual_vec
+        g_y, obj, by, residual = _evaluate(p, blocks, y, h_new)
+        if check is CheckLevel.FULL:
+            al_x = extras["al_after_x"]
+            al_y = extras["al_after_y"] = lagrangian_from_parts(obj, residual, omega, cfg.beta)
+            _check_descent(al_y + 0.5 * consts.delta * vdot(dy, dy), al_x, al_x,
+                           f"iteration {it}: y sufficient decrease")
+        omega, domega = _multiplier_step(cfg, it, omega, residual, check, extras)
 
         dx, lips, kappas, alphas, etas, chis = map(list, zip(*sweep))
         state = IterateState(
@@ -804,22 +746,124 @@ def run(
             stop_reason = "tolerance" if finite else "nonfinite"
             break
 
-    wall = time.perf_counter() - start
-    # a running min/max from +-inf: a run without iterations keeps +-inf, and a
-    # NaN eta never displaces the extreme (min() over a list would return it)
-    eta_by_block = [[rec.eta[i] for rec in trace[1:]] for i in range(p.s)]
-    return RunResult(
-        x=state.x,
-        y=state.y,
-        omega=state.omega,
-        trace=trace,
-        constants=consts,
-        stop_reason=stop_reason,
-        iterations=state.k,
-        wall_time_s=wall,
-        eta_min=tuple(functools.reduce(min, col, math.inf) for col in eta_by_block),
-        eta_max=tuple(functools.reduce(max, col, -math.inf) for col in eta_by_block),
-    )
+    return RunResult(x=state.x, y=state.y, omega=state.omega, trace=trace, constants=consts,
+                     stop_reason=stop_reason, iterations=state.k,
+                     wall_time_s=time.perf_counter() - start)
+
+
+def _evaluate(
+    p: ProblemSpec, x: Sequence[Array], y: Array, h: Array
+) -> tuple[float, float, Array, Array]:
+    """(G(y), objective, B y, h(x) + B y) at (x, y), given h = h(x).
+
+    Taken once per iterate, at the start and after each y step; the record
+    and the checks read these values instead of evaluating the point again.
+    """
+    g_y = p.y_value(y)
+    obj = objective_from_parts(x_objective_value(p, x), g_y)
+    by = p.lin_map.apply(y)
+    return g_y, obj, by, h + by
+
+
+def _sweep(
+    p: ProblemSpec, cfg: SolverConfig, rule: UpdateRule, check: CheckLevel, plan: Sequence, it: int,
+    state: IterateState, t_cur: float, by: Array, g_y: float, al_before: float, extras: dict,
+) -> tuple[list, list, Array]:
+    """The inertial block sweep of iteration ``it``, starting from ``state``.
+
+    For each block: the modulus and kappa (``plan`` holds each block's
+    (exact kappa, convex f_i) pair), the capped extrapolation weight, the
+    block update and its descent coefficients.  At ``cheap`` each step's
+    optimality certificate runs; at ``full`` also the per-block descent
+    inequality, from ``al_before`` (the recorded Lagrangian at ``state``),
+    with ``g_y`` = G(y) and ``by`` = B y fixed during the sweep, and
+    ``extras["al_after_x"]`` is left at the Lagrangian after the sweep.
+    h is taken once at each post-update block point where a check needs it
+    (at ``full``, or under penalty_exact at ``cheap``); the last one is the
+    returned h(x_new).  Returns the new blocks, one (step, lip, kappa,
+    alpha, eta, chi) per block, and h(x_new).
+    """
+    beta, nu, omega = cfg.beta, float(cfg.nu), state.omega
+    checked, full = check is not CheckLevel.OFF, check is CheckLevel.FULL
+    blocks, dx = list(state.x), state.dx
+    dual_vec = omega + beta * by
+    sweep, h_new = [], None
+    for i, (exact, convex) in enumerate(plan):
+        lip = _block_modulus(p, rule, beta, i, blocks)
+        if lip < 0.0:
+            raise ConfigError(f"block {i}: negative Lipschitz modulus {lip}")
+        kappa = max(lip if exact else KAPPA_MARGIN * lip, _KAPPA_FLOOR)
+        # 0 without momentum (t stays 1) and on the first iteration (no modulus yet)
+        alpha = extrapolation_weight(
+            state.t_prev, t_cur, cfg.b1, nu, exact, state.lip[i], state.kappa[i], lip, kappa
+        )
+        xbar = blocks[i] + alpha * dx[i]
+
+        x_new, chi = update_block(p, rule, i, blocks, xbar, dual_vec, beta, kappa)
+        step = x_new - blocks[i]
+        blocks[i] = x_new
+        eta, gamma = _descent_coefficients(rule, exact, beta, nu, lip, kappa, alpha)
+        sweep.append((step, lip, kappa, alpha, eta, chi))
+
+        if full or (checked and rule is UpdateRule.PENALTY_EXACT):
+            h_new = p.coupling_value(blocks)
+        if checked:
+            gap = _check_block_optimality(
+                p, rule, i, blocks, xbar, chi, dual_vec, beta, kappa, convex, h_new,
+                f"iteration {it}, block {i}: subproblem optimality",
+            )
+            extras["block_opt_rel"] = max(extras.get("block_opt_rel", gap), gap)
+        if full:
+            al_after = lagrangian_from_parts(
+                objective_from_parts(x_objective_value(p, blocks), g_y), h_new + by, omega, beta
+            )
+            _check_descent(
+                al_after + eta * vdot(step, step), al_before + gamma * vdot(dx[i], dx[i]),
+                al_before, f"iteration {it}, block {i}: descent inequality",
+            )
+            al_before = extras["al_after_x"] = al_after
+    if h_new is None:
+        h_new = p.coupling_value(blocks)
+    return blocks, sweep, h_new
+
+
+def _y_step(
+    p: ProblemSpec, beta: float, it: int, y: Array, grad_y: Array, omega: Array, h_new: Array,
+    check: CheckLevel, extras: dict,
+) -> tuple[Array, Array]:
+    """The y step of iteration ``it``; returns (y_new, y_new - y).
+
+    ``grad_y`` is the gradient of G at ``y``, taken by the record of ``y``.
+    From ``cheap`` on, the step's normal equations are checked with B and
+    B^T applied afresh to ``y_new``.
+    """
+    y_new = update_y(p, beta, y, grad_y, omega, h_new)
+    p.check_y(y_new)  # the linear map's solve_ridge is caller-supplied
+    if check is not CheckLevel.OFF:
+        _check_residual(
+            extras, "y_opt_rel", *y_optimality_residual(p, beta, y, grad_y, omega, h_new, y_new),
+            Y_OPTIMALITY_RTOL, f"iteration {it}: y-step optimality",
+        )
+    return y_new, y_new - y
+
+
+def _multiplier_step(
+    cfg: SolverConfig, it: int, omega: Array, residual: Array, check: CheckLevel, extras: dict
+) -> tuple[Array, Array]:
+    """The scaled multiplier step of iteration ``it``; returns (omega_new, omega_new - omega).
+
+    ``residual`` is h(x_new) + B y_new.  From ``cheap`` on, the residual is
+    recovered from omega_new and must match it.
+    """
+    beta, tau1, tau2 = cfg.beta, cfg.tau1, cfg.tau2
+    omega_new = update_multiplier(beta, tau1, tau2, omega, residual)
+    if check is not CheckLevel.OFF:
+        implied = (omega_new - tau1 * omega) / (tau2 * beta)
+        _check_residual(
+            extras, "mult_identity_rel", norm(implied - residual), 1.0 + norm(implied),
+            MULTIPLIER_IDENTITY_RTOL, f"iteration {it}: multiplier identity",
+        )
+    return omega_new, omega_new - omega
 
 
 def _start_state(

@@ -513,15 +513,14 @@ class TestCli:
 
     @pytest.mark.parametrize("warned", [True, False], ids=["gate-relaxed", "gated"])
     def test_check_reports_a_rising_lyapunov_value(self, tmp_path, capsys, warned):
-        # two hand-written runs whose Lyapunov value rises from 1 to 2 at row 2;
-        # their eta ratios put b1 = 0.5 above the first run's bound and below the second's
+        # two hand-written runs whose Lyapunov value rises from 1 to 2 at row 2
         rows = ["0,0,1,1,nan,1,1,1,0,0,0", "1,0,1,1,1,1,1,1,0,0,0", "2,0,1,1,2,1,1,1,0,0,0"]
         runs = []
-        for name, eta_min in (("a.csv", [0.4, 1.0]), ("b.csv", [0.6, 1.0])):
+        for name in ("a.csv", "b.csv"):
             (tmp_path / name).write_text("\n".join([",".join(TRACE_COLUMNS), *rows]) + "\n")
             runs.append({
                 "algorithm": "iadmm(0.1,0.1)", "file": name, "delta": 1.0, "beta": 1.0,
-                "tau1": 0.1, "tau2": 0.1, "eta_min": eta_min, "eta_max": [1.0, 1.0],
+                "tau1": 0.1, "tau2": 0.1,
                 "gate_warnings": ["smoothness gate violated"] if warned else [],
             })
         manifest = {"config": {"b1": 0.5, "tolerance": 0.0}, "runs": runs}
@@ -529,8 +528,6 @@ class TestCli:
         assert cli_main(["check", "--out", str(tmp_path)]) == (0 if warned else 1)
         failed = "FAILED*" if warned else "FAILED"
         assert capsys.readouterr().out.splitlines() == [
-            "     MONITOR  momentum bound: b1=0.5 >= min eta ratio 0.4000  a.csv",
-            "     MONITOR  momentum bound: b1=0.5 < min eta ratio 0.6000  b.csv",
             f"{failed:>12s}  lyapunov_descent         worst 5.000e-01  a.csv",
             "INCONCLUSIVE  theorem1_residual        worst nan  a.csv",
             f"{failed:>12s}  lyapunov_descent         worst 5.000e-01  b.csv",

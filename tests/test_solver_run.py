@@ -153,12 +153,12 @@ class TestWorkingSet:
         return (peak - base) / (cls.M * cls.N * 8)
 
     @pytest.mark.parametrize("check_level", ["off", "cheap", "full"])
-    def test_run_holds_at_most_13_arrays(self, check_level):
+    def test_run_holds_at_most_11_arrays(self, check_level):
         inst, p, u0, v0 = small_logmf(self.M, self.N, self.RANK)
         cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=self.ITERS,
                            check_level=check_level)
         hook = {"model_objective": logmf.model_objective_metric(inst)}
-        assert self._peak(lambda: run(p, cfg, [u0, v0], extra_metrics=hook)) <= 13.0
+        assert self._peak(lambda: run(p, cfg, [u0, v0], extra_metrics=hook)) <= 11.0
 
     def test_gd_run_holds_at_most_3_6_arrays(self):
         inst, _, u0, v0 = small_logmf(self.M, self.N, self.RANK)
@@ -201,17 +201,6 @@ class TestRunInvariants:
                 assert held.tobytes() == copy.tobytes()
         for held, copy in zip(starts, start_copies):
             assert held.tobytes() == copy.tobytes()
-
-    def test_eta_range_read_off_the_trace(self):
-        _, p, u0, v0 = small_logmf()
-        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=0)
-        res = run(p, cfg, [u0, v0])
-        assert res.eta_min == (math.inf, math.inf)
-        assert res.eta_max == (-math.inf, -math.inf)
-        res = run(p, dataclasses.replace(cfg, max_iters=8), [u0, v0])
-        for i in range(2):
-            etas = [rec.eta[i] for rec in res.trace[1:]]
-            assert (res.eta_min[i], res.eta_max[i]) == (min(etas), max(etas))
 
     def test_multiplier_identity_along_trace(self):
         # omega^k = tau1 omega^{k-1} + tau2 beta (h(x^k) + B y^k) for every k >= 1,
@@ -488,6 +477,41 @@ class TestInvariantsFire:
         assert all(math.isfinite(rec.objective) for rec in res.trace[:-1])
 
 
+class TestPhases:
+    """The phases of an iteration keep stable module-level names, which a
+    profiler may wrap from outside the package."""
+
+    N = 5
+    PHASES = ("_sweep", "_y_step", "_multiplier_step", "_record")
+
+    @staticmethod
+    def _rows(res):
+        return [(sorted((k, repr(v)) for k, v in rec.row().items() if k != "time_s"),
+                 rec.alpha, rec.eta) for rec in res.trace]
+
+    @pytest.mark.parametrize("check_level", ["off", "cheap", "full"])
+    def test_each_phase_runs_once_per_iteration(self, monkeypatch, check_level):
+        _, p, u0, v0 = small_logmf()
+        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=self.N,
+                           check_level=check_level)
+        plain = run(p, cfg, [u0, v0])
+        counts = dict.fromkeys(self.PHASES, 0)
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.PHASES:
+            monkeypatch.setattr(solver, name, counted(getattr(solver, name), name))
+        wrapped = run(p, cfg, [u0, v0])
+        n = self.N
+        assert counts == {"_sweep": n, "_y_step": n, "_multiplier_step": n, "_record": n + 1}
+        assert self._rows(wrapped) == self._rows(plain)
+
+
 class TestOracleCalls:
     N = 20
 
@@ -562,7 +586,9 @@ class TestOracleCalls:
     # the subproblem's gradient, h once for the y step, J^T and grad F once
     # and f once for the record.  cheap's certificate adds f at the new block,
     # the extrapolated block and the prox center; penalty_exact's also takes
-    # grad F at the extrapolated block and h there and at the new block
+    # grad F and h at the extrapolated block, and h at the new block, which
+    # the y step reuses.  full's descent check adds f at the new block and
+    # shares the certificate's h there
     @pytest.mark.parametrize("rule,check_level,per_iter", [
         ("fully_linearized", "off", dict(coupling_value=2, coupling_jac_t=2,
                                          smooth_grad_block=2, block_smooth_lipschitz=1,
@@ -575,9 +601,12 @@ class TestOracleCalls:
         ("penalty_exact", "off", dict(coupling_value=2, coupling_jac_t=2,
                                       smooth_grad_block=2, block_smooth_lipschitz=1,
                                       coupled_prox=1, separable_value=1)),
-        ("penalty_exact", "cheap", dict(coupling_value=4, coupling_jac_t=2,
+        ("penalty_exact", "cheap", dict(coupling_value=3, coupling_jac_t=2,
                                         smooth_grad_block=3, block_smooth_lipschitz=1,
                                         coupled_prox=1, separable_value=4)),
+        ("penalty_exact", "full", dict(coupling_value=3, coupling_jac_t=2,
+                                       smooth_grad_block=3, block_smooth_lipschitz=1,
+                                       coupled_prox=1, separable_value=5)),
     ])
     def test_toy_calls_per_run_by_rule(self, rule, check_level, per_iter):
         p = toy_problem(*quadratic_toy(), rule=rule)
