@@ -11,9 +11,10 @@ time on a fixed grid with last-observation-carried-forward alignment).
 With a fixed master seed, iteration budget and BLAS thread count the
 summary JSON and the iteration-series CSVs are byte-identical across
 invocations and ``jobs`` values.  A different BLAS thread count can change
-the last digits: one 2000-iteration cell ends at 1124.963250372305 with one
-thread and at 1124.9632503723071 with two.  Wall-time columns are
-machine-dependent by nature.
+the last digits: over 2000 iterations the iadmm(0.5,0.5) run of the desk
+grid's first cell ends at 1124.847663013638 with one thread and at
+1124.8476630136417 with two.  Wall-time columns are machine-dependent by
+nature.
 """
 
 from __future__ import annotations
@@ -379,24 +380,30 @@ def summarize(trace_dir) -> tuple[dict, dict]:
 
     Reads the manifest for run metadata, then every trace CSV; final
     objectives come from the traces' model_objective column (falling back
-    to the objective column).  Writes summary.json and per-size plot CSVs;
+    to the objective column).  A run whose manifest ``stop_reason`` is
+    ``nonfinite`` is left out of its group's mean, std, n_trials and plot
+    means; a group with no other run reports n_trials 0, mean and std null,
+    and a plot column of nan.  Writes summary.json and per-size plot CSVs;
     returns (summary document, {size: {"time": path, "iters": path}}).
     """
     out = Path(trace_dir)
     manifest = read_manifest(out)
 
-    # each run's trace, grouped by (algorithm, m, n) in manifest order
+    # each finite run's trace, grouped by (algorithm, m, n) in manifest order
     groups: dict[tuple[str, int, int], list[list[dict]]] = {}
     for meta in manifest["runs"]:
-        key = (meta["algorithm"], meta["m"], meta["n"])
-        groups.setdefault(key, []).append(read_trace_csv(out / meta["file"]))
+        traces = groups.setdefault((meta["algorithm"], meta["m"], meta["n"]), [])
+        if meta.get("stop_reason") != "nonfinite":
+            traces.append(read_trace_csv(out / meta["file"]))
 
     summary_rows = []
     by_size: dict[tuple[int, int], dict[str, list[list[dict]]]] = {}
     for (algorithm, m, n), traces in sorted(groups.items()):
         finals = [_row_objective(rows[-1]) for rows in traces]
-        mean = statistics.fmean(finals)
-        std = statistics.stdev(finals) if len(finals) > 1 else 0.0
+        mean = std = None
+        if finals:
+            mean = statistics.fmean(finals)
+            std = statistics.stdev(finals) if len(finals) > 1 else 0.0
         summary_rows.append(
             {
                 "algorithm": algorithm,
@@ -425,6 +432,12 @@ def summarize(trace_dir) -> tuple[dict, dict]:
     return summary, plot_paths
 
 
+def _mean(values) -> float:
+    """The mean of ``values``; nan when there are none."""
+    values = list(values)
+    return statistics.fmean(values) if values else math.nan
+
+
 def _row_objective(row: dict) -> float:
     """The trace row's model_objective, falling back to its objective."""
     return row.get("model_objective", row["objective"])
@@ -435,14 +448,14 @@ def _write_plot_data(out: Path, size, series: dict, horizon_cfg=None) -> dict:
     m, n = size
     traces = [rows for all_rows in series.values() for rows in all_rows]
     # a trace shorter than the longest carries its last row forward
-    iters = range(max(map(len, traces)))
+    iters = range(max(map(len, traces), default=1))
     iters_path = _write_plot_file(out / f"plot_iters_{m}x{n}.csv", "k", series, iters,
                                   map(str, iters), lambda rows, k: min(k, len(rows) - 1))
 
     # the time grid spans the configured wall-clock budget when there is one,
     # else the longest observed run
     horizon = horizon_cfg if horizon_cfg is not None else max(
-        rows[-1]["time_s"] for rows in traces
+        (rows[-1]["time_s"] for rows in traces), default=0.0
     )
     grid = [horizon * j / 99.0 for j in range(100)] if horizon > 0 else [0.0]
 
@@ -458,12 +471,13 @@ def _write_plot_data(out: Path, size, series: dict, horizon_cfg=None) -> dict:
 
 def _write_plot_file(path: Path, column: str, series: dict, points, labels, pick) -> Path:
     """One CSV line per point: its label, then each algorithm's mean objective
-    over all its traces, each read at row ``pick(rows, point)``."""
+    over all its traces, each read at row ``pick(rows, point)`` (nan for an
+    algorithm without traces)."""
     algos = sorted(series)
     lines = [",".join([column, *algos])]
     for point, label in zip(points, labels):
-        means = (statistics.fmean(_row_objective(rows[pick(rows, point)])
-                                  for rows in series[algo]) for algo in algos)
+        means = (_mean(_row_objective(rows[pick(rows, point)])
+                       for rows in series[algo]) for algo in algos)
         lines.append(",".join([label, *(format(v, ".17g") for v in means)]))
     _atomic_write_text(path, "\n".join(lines) + "\n")
     return path

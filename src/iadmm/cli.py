@@ -87,11 +87,13 @@ def _cmd_summarize(args) -> int:
 
 
 def _print_rows(summary: dict) -> None:
-    """One line per summary row: algorithm, size, mean and std over the trials."""
+    """One line per summary row: algorithm, size, mean and std over the trials
+    (nan for a group without a finite run)."""
     for row in summary["rows"]:
+        mean, std = (math.nan if row[k] is None else row[k] for k in ("mean", "std"))
         print(
             f"{row['algorithm']:>16s} ({row['m']},{row['n']}): "
-            f"mean {row['mean']:.6g} std {row['std']:.4g} over {row['n_trials']} trials"
+            f"mean {mean:.6g} std {std:.4g} over {row['n_trials']} trials"
         )
 
 

@@ -191,7 +191,10 @@ class ProblemSpec:
               + <lin, u> + weight/2 ||u - anchor||^2.
 
     All oracles must be deterministic functions of their arguments; the
-    solver relies on this and does not check it.  The experiment runner
+    solver relies on this and does not check it.  It evaluates F and each
+    f_i once per visited point and reuses the value wherever that point
+    recurs: f_i taken by a block's optimality certificate also serves the
+    descent checks, the objective and the next sweep.  The experiment runner
     builds one ProblemSpec per run; with ``jobs > 1`` the oracles of
     different runs execute concurrently on pool threads.
     """
@@ -257,12 +260,18 @@ class ProblemSpec:
             )
 
 
-def x_objective_value(p: ProblemSpec, x: Sequence[Array]) -> float:
-    """The x part F(x) + sum_i f_i(x_i) of the objective, +inf if any f_i is +inf."""
+def x_objective_value(
+    p: ProblemSpec, x: Sequence[Array], f: Optional[Sequence[float]] = None
+) -> float:
+    """The x part F(x) + sum_i f_i(x_i) of the objective, +inf if any f_i is +inf.
+
+    ``f``, when given, holds the values f_i(x_i) already taken at ``x``; F is
+    evaluated here either way.
+    """
     p.check_x(x)
     total = p.smooth_value(x) if p.smooth_value is not None else 0.0
     for i, xi in enumerate(x):
-        fi = p.separable_value(i, xi)
+        fi = p.separable_value(i, xi) if f is None else f[i]
         if math.isinf(fi):
             return math.inf
         total += fi

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, BlockTraits, ConfigError, ProblemSpec, ScaledIdentity
+from .core import Array, BlockTraits, ConfigError, ProblemSpec, ScaledIdentity, vdot
 from .rng import Xoshiro256StarStar
 from .solver import IterateState, TraceRecord, check_budget
 
@@ -35,6 +35,7 @@ __all__ = [
     "logistic_loss",
     "logistic_loss_grad",
     "logistic_loss_lipschitz",
+    "frobenius_penalty",
     "objective",
     "gram_spectral_norm",
     "gd_step",
@@ -140,15 +141,13 @@ def sigmoid(w: Array) -> Array:
 def logistic_loss(w: Array, y: Array, c: float) -> float:
     """sum (1 + c y - y) softplus(w) - c y w.
 
-    Bit for bit ``sum((1 + (c - 1) y) * softplus(w)) - c * sum(y * w)``; the
-    weights and y w share one buffer, made after softplus has freed its second.
+    Bit for bit ``sum(softplus(w)) + (c - 1) <y, softplus(w)> - c <y, w>``,
+    each inner product one BLAS reduction (:func:`~iadmm.core.vdot`): no
+    weights and no product y w are formed.
     """
     w = np.asarray(w, dtype=float)
     sp = softplus(w)
-    buf = np.multiply(c - 1.0, y, out=np.empty_like(w))
-    np.add(1.0, buf, out=buf)
-    total = np.sum(np.multiply(buf, sp, out=buf))
-    return float(total - c * np.sum(np.multiply(y, w, out=buf)))
+    return float(np.sum(sp) + (c - 1.0) * vdot(y, sp) - c * vdot(y, w))
 
 
 def logistic_loss_grad(w: Array, y: Array, c: float) -> Array:
@@ -172,15 +171,17 @@ def logistic_loss_lipschitz(y: Array, c: float) -> float:
     return float(np.max(1.0 + (c - 1.0) * np.asarray(y)) / 4.0)
 
 
+def frobenius_penalty(x: Array, lam: float) -> float:
+    """lam/2 ||x||_F^2, by one BLAS reduction; f_i of the splitting and the
+    penalties of :func:`objective`."""
+    return 0.5 * lam * vdot(x, x)
+
+
 def objective(
     u: Array, v: Array, uv: Array, y: Array, c: float, lam_row: float, lam_col: float
 ) -> float:
     """Factor-space objective: logistic loss at ``uv`` = U V plus Frobenius penalties."""
-    return (
-        logistic_loss(uv, y, c)
-        + 0.5 * lam_row * float(np.sum(u * u))
-        + 0.5 * lam_col * float(np.sum(v * v))
-    )
+    return logistic_loss(uv, y, c) + frobenius_penalty(u, lam_row) + frobenius_penalty(v, lam_col)
 
 
 def gram_spectral_norm(a: Array) -> float:
@@ -292,7 +293,7 @@ def make_problem(inst: LogMfInstance) -> ProblemSpec:
         return gram_spectral_norm(blocks[1 - i])
 
     def separable_value(i, xi):
-        return 0.5 * lams[i] * float(np.sum(xi * xi))
+        return frobenius_penalty(xi, lams[i])
 
     def separable_prox(i, center, weight):
         return (weight / (weight + lams[i])) * center

@@ -24,18 +24,21 @@ block p, the extrapolated block and the prox center p + chi/w; that the y
 step solves its normal equations, with B and B^T applied afresh to the
 solution and the gradient of G the step used; and the multiplier identity.
 "full" additionally asserts the per-block descent inequality and the y-step
-sufficient decrease of the augmented Lagrangian.  Those Lagrangians are
-assembled from values taken once per visited point: the x part of the
-objective and h at each post-update block point (shared with penalty_exact's
-certificate there; the last block's h is also the h(x_new) of the y step),
-B y once per sweep, and the objective and h(x) + B y after the y step, which
-the trace record reuses; G(y) of that objective is carried into the next
-sweep.  Each check runs inside the phase it checks (:func:`_sweep`,
-:func:`_y_step`, :func:`_multiplier_step`) except the y sufficient decrease,
-which :func:`run` asserts once the point after the y step is evaluated.
-Violations raise :class:`~iadmm.core.InvariantViolation`.  At every level a
-run stops with ``stop_reason="nonfinite"`` after a record whose objective,
-augmented Lagrangian or feasibility gap is not finite.
+sufficient decrease of the augmented Lagrangian.  Every value is taken once
+per visited point.  f_i is evaluated at x0 and then, from "cheap" on, by
+the certificate of each block step, which the descent checks, the objective
+and the next sweep read ("off" takes it once at x_new).  F and h are
+evaluated at each post-update block point where a check needs them (h there
+is shared with penalty_exact's certificate; the last block's h and x part of
+the objective serve the y step and the objective after it), else once at
+x_new.  B y is taken once per sweep, and the objective and h(x) + B y after
+the y step, which the trace record reuses; G(y) of that objective is
+carried into the next sweep.  Each check runs inside the phase it checks
+(:func:`_sweep`, :func:`_y_step`, :func:`_multiplier_step`) except the y
+sufficient decrease, which :func:`run` asserts once the point after the y
+step is evaluated.  Violations raise :class:`~iadmm.core.InvariantViolation`.
+At every level a run stops with ``stop_reason="nonfinite"`` after a record
+whose objective, augmented Lagrangian or feasibility gap is not finite.
 """
 
 from __future__ import annotations
@@ -556,7 +559,7 @@ def _penalty_grad(
 def _check_block_optimality(
     p: ProblemSpec, rule: UpdateRule, i: int, blocks: Sequence[Array], xbar: Array, chi: Array,
     dual_vec: Array, beta: float, kappa: float, convex: bool, h_new: Optional[Array], where: str,
-) -> float:
+) -> tuple[float, float]:
     """Certify by values that ``blocks[i]`` exactly minimizes block i's subproblem.
 
     The subproblem is phi(u) = f_i(u) + <lin, u - xbar> + w/2 ||u - xbar||^2,
@@ -574,7 +577,7 @@ def _check_block_optimality(
     ``blocks``, which the sweep takes once for the certificate and the
     descent check; only penalty_exact reads it.  Each test is decided by
     :func:`_check_descent`; returns the largest normalized shortfall, which
-    is <= 0 for an exact minimizer.
+    is <= 0 for an exact minimizer, and f_i at the new block.
     """
     x_new, step = blocks[i], blocks[i] - xbar
     f_new = p.separable_value(i, x_new)
@@ -588,15 +591,17 @@ def _check_block_optimality(
         weight = _weight_scale(rule, beta) * kappa
         lin = -(weight * step + chi)
         at_bar, at_new = p.separable_value(i, xbar), f_new
-    at_new += vdot(lin, step) + 0.5 * weight * vdot(step, step)
+    prox = 0.5 * weight * vdot(step, step)
+    at_new += vdot(lin, step) + prox
     strong = convex and rule is not UpdateRule.PENALTY_EXACT
-    pairs = [(at_new + 0.5 * strong * weight * vdot(step, step), at_bar)]
+    pairs = [(at_new + strong * prox, at_bar)]
     if convex or rule is not UpdateRule.PENALTY_EXACT:
         shift = chi / weight
         pairs.append((f_new + 0.5 * (1 + convex) * vdot(chi, shift),
                       p.separable_value(i, x_new + shift)))
-    return max(_check_descent(lhs, rhs, at_new, where, BLOCK_OPTIMALITY_RTOL)
-               for lhs, rhs in pairs)
+    gap = max(_check_descent(lhs, rhs, at_new, where, BLOCK_OPTIMALITY_RTOL)
+              for lhs, rhs in pairs)
+    return gap, f_new
 
 
 def update_y(
@@ -699,7 +704,10 @@ def run(
 
     state = _start_state(p, x0, y0, omega0)
     start = time.perf_counter()
-    g_y, obj, by, residual = _evaluate(p, state.x, state.y, state.coupling_cur)
+    # f_i at the current blocks; from the first sweep on, the certificates take them
+    f_x = [p.separable_value(i, b) for i, b in enumerate(state.x)]
+    g_y, obj, by, residual = _evaluate(
+        p, state.y, state.coupling_cur, x_objective_value(p, state.x, f_x))
     record, _, grad_y = _record(p, cfg, consts, state, obj, residual, start, extra_metrics)
     trace: list[TraceRecord] = [record]
     stop_reason = "max_iters"
@@ -714,8 +722,9 @@ def run(
         # the sweep reads no h(x) of the previous state, which goes before the
         # sweep takes h at its new blocks (at full)
         state, h_new = dataclasses.replace(state, coupling_cur=None), None
-        blocks, sweep, h_new = _sweep(
-            p, cfg, rule, check, plan, it, state, t_cur, by, g_y, trace[-1].aug_lagrangian, extras
+        blocks, sweep, h_new, f_x, fx = _sweep(
+            p, cfg, rule, check, plan, it, state, f_x, t_cur, by, g_y, trace[-1].aug_lagrangian,
+            extras,
         )
         # the previous x and dx go before the y step, where the run peaks; the
         # previous dy and domega go when their successors are bound
@@ -724,7 +733,7 @@ def run(
         y, dy = _y_step(p, cfg.beta, it, y, grad_y, omega, h_new, check, extras)
         del grad_y
         # G(y) is carried into the next sweep's descent checks, B y into its dual_vec
-        g_y, obj, by, residual = _evaluate(p, blocks, y, h_new)
+        g_y, obj, by, residual = _evaluate(p, y, h_new, fx)
         if check is CheckLevel.FULL:
             al_x = extras["al_after_x"]
             al_y = extras["al_after_y"] = lagrangian_from_parts(obj, residual, omega, cfg.beta)
@@ -751,24 +760,24 @@ def run(
                      wall_time_s=time.perf_counter() - start)
 
 
-def _evaluate(
-    p: ProblemSpec, x: Sequence[Array], y: Array, h: Array
-) -> tuple[float, float, Array, Array]:
-    """(G(y), objective, B y, h(x) + B y) at (x, y), given h = h(x).
+def _evaluate(p: ProblemSpec, y: Array, h: Array, fx: float) -> tuple[float, float, Array, Array]:
+    """(G(y), objective, B y, h(x) + B y) at (x, y), given h = h(x) and the x
+    part ``fx`` of the objective.
 
     Taken once per iterate, at the start and after each y step; the record
     and the checks read these values instead of evaluating the point again.
     """
     g_y = p.y_value(y)
-    obj = objective_from_parts(x_objective_value(p, x), g_y)
+    obj = objective_from_parts(fx, g_y)
     by = p.lin_map.apply(y)
     return g_y, obj, by, h + by
 
 
 def _sweep(
     p: ProblemSpec, cfg: SolverConfig, rule: UpdateRule, check: CheckLevel, plan: Sequence, it: int,
-    state: IterateState, t_cur: float, by: Array, g_y: float, al_before: float, extras: dict,
-) -> tuple[list, list, Array]:
+    state: IterateState, f_x: Sequence[float], t_cur: float, by: Array, g_y: float,
+    al_before: float, extras: dict,
+) -> tuple[list, list, Array, Optional[list], float]:
     """The inertial block sweep of iteration ``it``, starting from ``state``.
 
     For each block: the modulus and kappa (``plan`` holds each block's
@@ -780,14 +789,21 @@ def _sweep(
     ``extras["al_after_x"]`` is left at the Lagrangian after the sweep.
     h is taken once at each post-update block point where a check needs it
     (at ``full``, or under penalty_exact at ``cheap``); the last one is the
-    returned h(x_new).  Returns the new blocks, one (step, lip, kappa,
-    alpha, eta, chi) per block, and h(x_new).
+    returned h(x_new).  ``f_x`` holds f_i at the blocks of ``state``; from
+    ``cheap`` on, each block's certificate takes f_i at its new block, which
+    the descent checks and the x part of the objective read, so f_i is not
+    evaluated again.  F is evaluated at each point where that x part is
+    formed: after each block at ``full``, else once at x_new.  Returns the
+    new blocks, one (step, lip, kappa, alpha, eta, chi) per block, h(x_new),
+    f_i at the new blocks (None at ``off``, where no certificate takes them)
+    and the x part of the objective at x_new.
     """
     beta, nu, omega = cfg.beta, float(cfg.nu), state.omega
     checked, full = check is not CheckLevel.OFF, check is CheckLevel.FULL
     blocks, dx = list(state.x), state.dx
     dual_vec = omega + beta * by
     sweep, h_new = [], None
+    f_x = list(f_x) if checked else None
     for i, (exact, convex) in enumerate(plan):
         lip = _block_modulus(p, rule, beta, i, blocks)
         if lip < 0.0:
@@ -808,14 +824,15 @@ def _sweep(
         if full or (checked and rule is UpdateRule.PENALTY_EXACT):
             h_new = p.coupling_value(blocks)
         if checked:
-            gap = _check_block_optimality(
+            gap, f_x[i] = _check_block_optimality(
                 p, rule, i, blocks, xbar, chi, dual_vec, beta, kappa, convex, h_new,
                 f"iteration {it}, block {i}: subproblem optimality",
             )
             extras["block_opt_rel"] = max(extras.get("block_opt_rel", gap), gap)
         if full:
+            fx = x_objective_value(p, blocks, f_x)
             al_after = lagrangian_from_parts(
-                objective_from_parts(x_objective_value(p, blocks), g_y), h_new + by, omega, beta
+                objective_from_parts(fx, g_y), h_new + by, omega, beta
             )
             _check_descent(
                 al_after + eta * vdot(step, step), al_before + gamma * vdot(dx[i], dx[i]),
@@ -824,7 +841,9 @@ def _sweep(
             al_before = extras["al_after_x"] = al_after
     if h_new is None:
         h_new = p.coupling_value(blocks)
-    return blocks, sweep, h_new
+    if not full:
+        fx = x_objective_value(p, blocks, f_x)
+    return blocks, sweep, h_new, f_x, fx
 
 
 def _y_step(

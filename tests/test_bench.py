@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import re
 import subprocess
 import sys
@@ -347,6 +348,55 @@ class TestSummarize:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             summarize(tmp_path)
+
+    @staticmethod
+    def _nan_grid(tmp_path, monkeypatch, poisoned):
+        """A 10 x 8, rank-2 grid of two cells whose problems numbered in
+        ``poisoned`` (in build order, 0 being the gate probe) get a G(y) that
+        is NaN from its 5th call."""
+        built, bench_make_problem = [], bench.make_problem
+
+        def make_problem(inst):
+            p = bench_make_problem(inst)
+            built.append(p)
+            if len(built) - 1 in poisoned:
+                calls, y_value = [], p.y_value
+                p.y_value = lambda w: math.nan if calls.append(1) or len(calls) >= 5 else y_value(w)
+            return p
+
+        monkeypatch.setattr(bench, "make_problem", make_problem)
+        cfg = tiny_config(variants=(Variant(0.1, 0.1, True),), inits_per_dataset=2,
+                          budget_iters=10)
+        summary = run_experiment(cfg, tmp_path)
+        manifest = json.loads((tmp_path / "runs_manifest.json").read_text())
+        rows = {row["algorithm"]: row for row in summary["rows"]}
+        return manifest["runs"], rows
+
+    def test_nonfinite_runs_left_out_of_every_mean(self, tmp_path, monkeypatch):
+        runs, rows = self._nan_grid(tmp_path, monkeypatch, poisoned={1, 2})
+        solver_runs = [r for r in runs if r["algorithm"] != "gd"]
+        assert [(r["stop_reason"], r["iterations"]) for r in solver_runs] == [("nonfinite", 4)] * 2
+        assert rows["iadmm(0.1,0.1)"] == {
+            "algorithm": "iadmm(0.1,0.1)", "m": 10, "n": 8, "mean": None, "std": None,
+            "n_trials": 0}
+        assert rows["gd"]["n_trials"] == 2 and math.isfinite(rows["gd"]["mean"])
+        for kind, column in (("iters", "k"), ("time", "time_s")):
+            lines = (tmp_path / f"plot_{kind}_10x8.csv").read_text().splitlines()
+            assert lines[0] == f"{column},gd,iadmm(0.1,0.1)"
+            assert all(line.endswith(",nan") and "nan," not in line for line in lines[1:])
+
+    def test_only_the_nonfinite_run_is_left_out(self, tmp_path, monkeypatch):
+        runs, rows = self._nan_grid(tmp_path, monkeypatch, poisoned={2})
+        finite, stopped = [r for r in runs if r["algorithm"] != "gd"]
+        assert (finite["stop_reason"], stopped["stop_reason"]) == ("max_iters", "nonfinite")
+        row = rows["iadmm(0.1,0.1)"]
+        assert (row["mean"], row["std"], row["n_trials"]) == (finite["final_objective"], 0.0, 1)
+        trace = read_trace_csv(tmp_path / finite["file"])
+        gd = [read_trace_csv(tmp_path / r["file"]) for r in runs if r["algorithm"] == "gd"]
+        lines = (tmp_path / "plot_iters_10x8.csv").read_text().splitlines()
+        for k, line in enumerate(lines[1:]):
+            gd_mean = (gd[0][k]["model_objective"] + gd[1][k]["model_objective"]) / 2
+            assert list(map(float, line.split(","))) == [k, gd_mean, trace[k]["model_objective"]]
 
 
 class TestCli:

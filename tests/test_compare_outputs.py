@@ -31,8 +31,30 @@ def test_difference_and_missing_file_fail(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"only in {a}: runs_manifest.json",
         "differs: trace_a.csv",
+        "  objective: largest relative difference 0.167",
         "2 files compared, 2 differences",
     ]
+
+
+def test_differing_trace_names_only_the_column_that_moved(tmp_path, capsys):
+    head = "k,time_s,objective,feas,lyapunov\n"
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "trace_a.csv").write_text(head + "0,0.1,4,0.5,nan\n1,0.2,2,0.25,3\n")
+    (b / "trace_a.csv").write_text(head + "0,0.3,4,0.5,nan\n1,0.4,2,0.25,3.0000000000003\n")
+    (a / "plot_iters_10x8.csv").write_text("k,gd\n0,1\n")
+    (b / "plot_iters_10x8.csv").write_text("k,gd\n0,2\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: plot_iters_10x8.csv",
+        "differs: trace_a.csv",
+        "  lyapunov: largest relative difference 1e-13",
+        "2 files compared, 2 differences",
+    ]
+    (b / "trace_a.csv").write_text(head + "0,0.3,4,0.5,nan\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert "  header or row count differs" in capsys.readouterr().out.splitlines()
 
 
 def test_needs_two_directories(tmp_path):

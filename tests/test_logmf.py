@@ -112,8 +112,8 @@ def _sigmoid_ref(w):
 
 
 def _loss_ref(w, y, c):
-    weights = 1.0 + (c - 1.0) * y
-    return float(np.sum(weights * _softplus_ref(w)) - c * np.sum(y * w))
+    sp = _softplus_ref(w)
+    return float(np.sum(sp) + (c - 1.0) * float(np.vdot(y, sp)) - c * float(np.vdot(y, w)))
 
 
 def _loss_grad_ref(w, y, c):
@@ -156,6 +156,29 @@ class TestKernelBits:
             _same_bits(logmf.logistic_loss_grad(w, y, c), _loss_grad_ref(w, y, c))
             # the kernels work in place, but never in their inputs
             assert w.tobytes() == w0 and y.tobytes() == y0
+
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 30.0])
+    def test_loss_close_to_exact_sum_of_entry_terms(self, scale):
+        rng = np.random.default_rng(47)
+        w = rng.normal(scale=scale, size=(1000, 200))
+        y = (rng.uniform(size=w.shape) < 0.3).astype(float)
+        sp = _softplus_ref(w)
+        for c in (0.4, 1.0, 2.3):
+            exact = math.fsum(((1.0 + (c - 1.0) * y) * sp - c * y * w).flat)
+            assert abs(logmf.logistic_loss(w, y, c) - exact) <= 1e-13 * abs(exact)
+
+    def test_frobenius_penalty_matches_plain_expression(self):
+        rng = np.random.default_rng(5)
+        cases = [np.zeros((3, 2)), np.array([[1e-300, -1e300]]), np.array(2.5)]
+        cases += [rng.normal(scale=s, size=(40, 30)) for s in (1e-3, 1.0, 1e3)]
+        for x in cases:
+            for lam in (0.0, 0.125, 0.25, 3.0):
+                want = 0.5 * lam * float(np.vdot(x, x))
+                _same_bits(logmf.frobenius_penalty(x, lam), want)
+        inst = logmf.LogMfInstance(y=np.eye(40, 30), rank=30, lam_row=0.3, lam_col=0.7)
+        p = logmf.make_problem(inst)
+        _same_bits(p.separable_value(0, cases[-1]), logmf.frobenius_penalty(cases[-1], 0.3))
+        _same_bits(p.separable_value(1, cases[-2].T), logmf.frobenius_penalty(cases[-2].T, 0.7))
 
 
 class TestObjective:

@@ -558,6 +558,26 @@ class TestOracleCalls:
             "lin_map.apply": n + 2,
         }
 
+    def test_calls_per_run_at_check_cheap(self):
+        # per iteration, with 2 blocks: each block's optimality certificate
+        # takes f_i at the new block, the extrapolated block and the prox
+        # center (6 in all), and the objective after the y step reads the two
+        # values at the new blocks instead of evaluating them again; f_i at
+        # x0 is taken once at the start.  B y twice: the record's and the y
+        # check's.  The rest is as at off
+        counts = self._counted_run("cheap")
+        n = self.N
+        assert counts == {
+            "y_grad": n + 1,
+            "y_value": n + 1,
+            "coupling_value": 3 * n + 1,
+            "coupling_jac_t": 4 * n,
+            "block_penalty_lipschitz": 2 * n,
+            "separable_prox": 2 * n,
+            "separable_value": 6 * n + 2,
+            "lin_map.apply": 2 * n + 2,
+        }
+
     def test_calls_per_run_at_check_full(self):
         # the descent checks evaluate each visited point once: B y once per
         # sweep, h once per post-update block point (the last one shared with
@@ -565,10 +585,12 @@ class TestOracleCalls:
         # record, whose G(y) is carried into the next sweep.  Per iteration,
         # with 2 blocks: h 4 times (each block's linearization and descent
         # check; the last check's h is the y step's), J^T 4 times (2 in the
-        # sweep, 2 in the record), f_i 12 times (per block: 1 in the record,
-        # 2 in the descent checks, 3 in the optimality certificate) and B y
-        # twice (the record's and the y check's).  The y check reuses the
-        # step's own grad G.
+        # sweep, 2 in the record), f_i 6 times (the 3 of each block's
+        # optimality certificate; the descent checks and the objective after
+        # the y step read the certificates' values at the new blocks, and the
+        # first block's check reads the second block's value from the last
+        # sweep) and B y twice (the record's and the y check's).  The y check
+        # reuses the step's own grad G.
         counts = self._counted_run("full")
         n = self.N
         assert counts == {
@@ -578,17 +600,18 @@ class TestOracleCalls:
             "coupling_jac_t": 4 * n,
             "block_penalty_lipschitz": 2 * n,
             "separable_prox": 2 * n,
-            "separable_value": 12 * n + 2,
+            "separable_value": 6 * n + 2,
             "lin_map.apply": 2 * n + 2,
         }
 
     # per iteration on the one-block toy: both rules take h and J^T once for
-    # the subproblem's gradient, h once for the y step, J^T and grad F once
-    # and f once for the record.  cheap's certificate adds f at the new block,
-    # the extrapolated block and the prox center; penalty_exact's also takes
-    # grad F and h at the extrapolated block, and h at the new block, which
-    # the y step reuses.  full's descent check adds f at the new block and
-    # shares the certificate's h there
+    # the subproblem's gradient, h once for the y step, and J^T and grad F
+    # once for the record; at off, f once for the objective after the y step.
+    # cheap's certificate takes f at the new block, the extrapolated block and
+    # the prox center, and the objective reads its value at the new block;
+    # penalty_exact's certificate also takes grad F and h at the extrapolated
+    # block, and h at the new block, which the y step reuses.  full's descent
+    # check reads the certificate's f and h at the new block
     @pytest.mark.parametrize("rule,check_level,per_iter", [
         ("fully_linearized", "off", dict(coupling_value=2, coupling_jac_t=2,
                                          smooth_grad_block=2, block_smooth_lipschitz=1,
@@ -597,16 +620,20 @@ class TestOracleCalls:
         ("fully_linearized", "cheap", dict(coupling_value=2, coupling_jac_t=2,
                                            smooth_grad_block=2, block_smooth_lipschitz=1,
                                            block_penalty_lipschitz=1, separable_prox=1,
-                                           separable_value=4)),
+                                           separable_value=3)),
         ("penalty_exact", "off", dict(coupling_value=2, coupling_jac_t=2,
                                       smooth_grad_block=2, block_smooth_lipschitz=1,
                                       coupled_prox=1, separable_value=1)),
         ("penalty_exact", "cheap", dict(coupling_value=3, coupling_jac_t=2,
                                         smooth_grad_block=3, block_smooth_lipschitz=1,
-                                        coupled_prox=1, separable_value=4)),
+                                        coupled_prox=1, separable_value=3)),
         ("penalty_exact", "full", dict(coupling_value=3, coupling_jac_t=2,
                                        smooth_grad_block=3, block_smooth_lipschitz=1,
-                                       coupled_prox=1, separable_value=5)),
+                                       coupled_prox=1, separable_value=3)),
+        ("fully_linearized", "full", dict(coupling_value=2, coupling_jac_t=2,
+                                          smooth_grad_block=2, block_smooth_lipschitz=1,
+                                          block_penalty_lipschitz=1, separable_prox=1,
+                                          separable_value=3)),
     ])
     def test_toy_calls_per_run_by_rule(self, rule, check_level, per_iter):
         p = toy_problem(*quadratic_toy(), rule=rule)
@@ -632,6 +659,18 @@ class TestOracleCalls:
         expected["coupling_value"] += 1  # h(x0)
         expected["separable_value"] += 1  # the objective at x0
         assert counts == expected
+
+    def test_toy_smooth_value_once_per_visited_point_at_full(self):
+        # F is taken once at x0 and once per iteration at the new block: the
+        # descent check forms the x part of the objective there, and the
+        # objective after the y step reads it
+        p = toy_problem(*quadratic_toy(), rule="fully_linearized")
+        smooth_value, calls = p.smooth_value, []
+        p = dataclasses.replace(p, smooth_value=lambda b: calls.append(1) or smooth_value(b))
+        cfg = SolverConfig(beta=10.0, tau1=0.5, tau2=0.5, update_rule="fully_linearized",
+                           max_iters=self.N, check_level="full")
+        run(p, cfg, [np.zeros(4)])
+        assert len(calls) == self.N + 1
 
     def test_recorded_lagrangian_equals_core(self):
         # every Lagrangian the full-level checks assemble from parts equals the
