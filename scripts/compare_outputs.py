@@ -9,8 +9,10 @@ are compared without their ``time_s`` column, and ``plot_time_*`` files are
 skipped.  Prints each difference and each file present in only one tree,
 then the number of files compared.  Under a trace that differs it names
 each differing column with its largest relative difference
-|a - b| / max(|a|, |b|) over the rows (inf where a cell is not a finite
-number in one tree only), or says that the header or row count differs.
+|a - b| / max(|a|, |b|) and its largest absolute difference |a - b| over
+the rows (each inf where a cell is not a finite number in one tree only),
+or says that the header or row count differs.  The absolute one bounds a
+column that sits near 0, where a relative measure bounds nothing.
 Exits 1 on any difference or missing file, 0 otherwise, and 2 unless given
 two directories.  Standard library only.
 """
@@ -49,20 +51,24 @@ def same(a: Path, b: Path) -> bool:
     return da == db
 
 
-def _rel(x: bytes, y: bytes) -> float:
+def _diff(x: bytes, y: bytes) -> tuple[float, float]:
+    """(|a - b|, |a - b| / max(|a|, |b|)) of two cells."""
     try:
         a, b = float(x), float(y)
     except ValueError:
-        return math.inf
+        return math.inf, math.inf
     if a == b or a != a and b != b:
-        return 0.0
-    big = max(abs(a), abs(b))
-    return abs(a - b) / big if math.isfinite(a - b) else math.inf
+        return 0.0, 0.0
+    gap = abs(a - b)
+    if not math.isfinite(gap):
+        return math.inf, math.inf
+    return gap, gap / max(abs(a), abs(b))
 
 
 def column_differences(a: Path, b: Path) -> list[str]:
     """One line per column in which the traces ``a`` and ``b`` differ, with
-    its largest relative difference; one line if their shapes differ."""
+    its largest relative and absolute differences; one line if their shapes
+    differ."""
     ra, rb = _without_time(a.read_bytes()), _without_time(b.read_bytes())
     if ra[0] != rb[0] or list(map(len, ra)) != list(map(len, rb)):
         return ["  header or row count differs"]
@@ -71,8 +77,9 @@ def column_differences(a: Path, b: Path) -> list[str]:
     for j, name in enumerate(ra[0]):
         pairs = [(x[j], y[j]) for x, y in rows if x[j] != y[j]]
         if pairs:
-            worst = max(_rel(x, y) for x, y in pairs)
-            lines.append(f"  {name.decode()}: largest relative difference {worst:.3g}")
+            gaps, rels = zip(*(_diff(x, y) for x, y in pairs))
+            lines.append(f"  {name.decode()}: largest relative difference {max(rels):.3g}, "
+                         f"absolute {max(gaps):.3g}")
     return lines
 
 

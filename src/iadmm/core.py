@@ -191,10 +191,12 @@ class ProblemSpec:
               + <lin, u> + weight/2 ||u - anchor||^2.
 
     All oracles must be deterministic functions of their arguments; the
-    solver relies on this and does not check it.  It evaluates F and each
-    f_i once per visited point and reuses the value wherever that point
+    solver relies on this and does not check it.  It evaluates F, each f_i
+    and h once per visited point and reuses the value wherever that point
     recurs: f_i taken by a block's optimality certificate also serves the
-    descent checks, the objective and the next sweep.  The experiment runner
+    descent checks, the objective and the next sweep, and h at a new block,
+    taken by a penalty_exact step or else by the sweep, serves the
+    certificate, the descent check and the y step.  The experiment runner
     builds one ProblemSpec per run; with ``jobs > 1`` the oracles of
     different runs execute concurrently on pool threads.
     """

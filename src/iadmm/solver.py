@@ -25,18 +25,23 @@ step solves its normal equations, with B and B^T applied afresh to the
 solution and the gradient of G the step used; and the multiplier identity.
 "full" additionally asserts the per-block descent inequality and the y-step
 sufficient decrease of the augmented Lagrangian.  Every value is taken once
-per visited point.  f_i is evaluated at x0 and then, from "cheap" on, by
-the certificate of each block step, which the descent checks, the objective
-and the next sweep read ("off" takes it once at x_new).  F and h are
-evaluated at each post-update block point where a check needs them (h there
-is shared with penalty_exact's certificate; the last block's h and x part of
-the objective serve the y step and the objective after it), else once at
-x_new.  B y is taken once per sweep, and the objective and h(x) + B y after
-the y step, which the trace record reuses; G(y) of that objective is
-carried into the next sweep.  Each check runs inside the phase it checks
-(:func:`_sweep`, :func:`_y_step`, :func:`_multiplier_step`) except the y
-sufficient decrease, which :func:`run` asserts once the point after the y
-step is evaluated.  Violations raise :class:`~iadmm.core.InvariantViolation`.
+per visited point.  Each block subproblem is solved once: the certificate
+reads the step's lin and weight and calls no gradient oracle.  f_i is
+evaluated at x0 and then, from "cheap" on, by the certificate of each block
+step, which the descent checks, the objective and the next sweep read
+("off" takes it once at x_new).  h at a new block is taken once at every
+level: by penalty_exact's step (its first-order condition needs it, and its
+certificate, the descent check and the y step read it), and under the
+linearized rules by the sweep, after each block at "full", else once at
+x_new.  F is evaluated after each block at "full", else once at x_new; the
+last block's h and x part of the objective serve the y step and the
+objective after it.  B y is taken once per sweep, and the objective and
+h(x) + B y after the y step, which the trace record reuses; G(y) of that
+objective is carried into the next sweep.  Each check runs inside the
+phase it checks (:func:`_sweep`, :func:`_y_step`, :func:`_multiplier_step`)
+except the y sufficient decrease, which :func:`run` asserts once the point
+after the y step is evaluated.  Violations raise
+:class:`~iadmm.core.InvariantViolation`.
 At every level a run stops with ``stop_reason="nonfinite"`` after a record
 whose objective, augmented Lagrangian or feasibility gap is not finite.
 """
@@ -497,50 +502,39 @@ def update_block(
     dual_vec: Array,
     beta: float,
     kappa: float,
-) -> tuple[Array, Array]:
-    """Solve block i's subproblem; returns (new block, separable subgradient).
+) -> tuple[Array, Array, Array, float, Optional[Array]]:
+    """Solve block i's subproblem; returns (new block, separable subgradient,
+    lin, weight, h at the new blocks).
 
     ``blocks`` carries the current sweep values (earlier blocks already
     updated); ``dual_vec`` is omega + beta * B y at the sweep's start.
-    The subgradient is the element of the separable part's subdifferential
-    certified by the proximal identity (or, for the exact-penalty rule, by
-    the subproblem's own first-order condition).
+    ``lin`` is the gradient of the linearized terms at the extrapolated
+    block ``xbar`` (for penalty_exact, of F alone) and ``weight`` the rule's
+    proximal weight (beta * kappa or kappa); the optimality certificate
+    reads both.  The subgradient is the element of the separable part's
+    subdifferential certified by the proximal identity (or, for the
+    exact-penalty rule, by the subproblem's own first-order condition, which
+    takes h at the new blocks; that h is returned, and None under the
+    linearized rules).
     """
-    lin, weight = _linearization(p, rule, i, _with(blocks, i, xbar), dual_vec, beta, kappa)
+    weight = _weight_scale(rule, beta) * kappa
+    probe = _with(blocks, i, xbar)
     if rule is UpdateRule.PENALTY_EXACT:
+        lin = p.smooth_grad_block(i, probe)
         x_new = p.coupled_prox(i, blocks, dual_vec, beta, lin, weight, xbar)
         # the subproblem's first-order condition: the penalty gradient at x_new
         # plus lin (grad F at the probe) plus the proximal term
-        grad = _penalty_grad(p, i, _with(blocks, i, x_new), dual_vec, beta) + lin
-        return x_new, -(grad + weight * (x_new - xbar))
-    center = xbar - lin / weight
-    x_new = p.separable_prox(i, center, weight)
-    chi = weight * (center - x_new)
-    return x_new, chi
-
-
-def _linearization(
-    p: ProblemSpec,
-    rule: UpdateRule,
-    i: int,
-    probe: Sequence[Array],
-    dual_vec: Array,
-    beta: float,
-    kappa: float,
-) -> tuple[Array, float]:
-    """(lin, weight) of block i's subproblem at ``probe``.
-
-    ``probe`` holds the extrapolated block in slot i.  ``lin`` is the
-    gradient of the linearized terms there (for penalty_exact, of F alone)
-    and ``weight`` the proximal weight of the rule (beta * kappa or kappa).
-    """
-    weight = _weight_scale(rule, beta) * kappa
-    if rule is UpdateRule.PENALTY_EXACT:
-        return p.smooth_grad_block(i, probe), weight
-    lin = _penalty_grad(p, i, probe, dual_vec, beta)
+        new = _with(blocks, i, x_new)
+        h_new = p.coupling_value(new)
+        grad = p.coupling_jac_t(i, new, dual_vec + beta * h_new) + lin
+        return x_new, -(grad + weight * (x_new - xbar)), lin, weight, h_new
+    # the penalty's block gradient at the probe
+    lin = p.coupling_jac_t(i, probe, dual_vec + beta * p.coupling_value(probe))
     if rule is UpdateRule.FULLY_LINEARIZED:
         lin = lin + p.smooth_grad_block(i, probe)
-    return lin, weight
+    center = xbar - lin / weight
+    x_new = p.separable_prox(i, center, weight)
+    return x_new, weight * (center - x_new), lin, weight, None
 
 
 def _with(blocks: Sequence[Array], i: int, value: Array) -> list:
@@ -549,16 +543,10 @@ def _with(blocks: Sequence[Array], i: int, value: Array) -> list:
     return out
 
 
-def _penalty_grad(
-    p: ProblemSpec, i: int, blocks: Sequence[Array], dual_vec: Array, beta: float
-) -> Array:
-    """Block-i gradient of <h(x), dual_vec> + beta/2 ||h(x)||^2 at ``blocks``."""
-    return p.coupling_jac_t(i, blocks, dual_vec + beta * p.coupling_value(blocks))
-
-
 def _check_block_optimality(
     p: ProblemSpec, rule: UpdateRule, i: int, blocks: Sequence[Array], xbar: Array, chi: Array,
-    dual_vec: Array, beta: float, kappa: float, convex: bool, h_new: Optional[Array], where: str,
+    lin: Array, weight: float, dual_vec: Array, beta: float, convex: bool,
+    h_new: Optional[Array], where: str,
 ) -> tuple[float, float]:
     """Certify by values that ``blocks[i]`` exactly minimizes block i's subproblem.
 
@@ -571,25 +559,23 @@ def _check_block_optimality(
     At the prox center z = p + chi/w the linearized rules' inequality reads
     f_i(z) >= f_i(p) + (1 + c)/2 <chi, z - p>.  For convex f_i that is the
     subgradient inequality, which penalty_exact's chi (the subproblem's
-    first-order condition at p) must pass as well.  The linearized rules
-    recover lin from the prox identity chi = w (xbar - lin/w - p), so they
-    form no product with the coupling's Jacobian.  ``h_new`` is h at
-    ``blocks``, which the sweep takes once for the certificate and the
-    descent check; only penalty_exact reads it.  Each test is decided by
-    :func:`_check_descent`; returns the largest normalized shortfall, which
-    is <= 0 for an exact minimizer, and f_i at the new block.
+    first-order condition at p) must pass as well.  ``lin`` and ``weight``
+    (w) are those :func:`update_block` solved with, so the check calls no
+    gradient oracle and forms no product with the coupling's Jacobian.
+    Under penalty_exact it takes h at xbar and reads ``h_new``, h at
+    ``blocks``, which the step took; the linearized rules read no h.  Each
+    test is decided by :func:`_check_descent`; returns the largest
+    normalized shortfall, which is <= 0 for an exact minimizer, and f_i at
+    the new block.
     """
     x_new, step = blocks[i], blocks[i] - xbar
     f_new = p.separable_value(i, x_new)
     if rule is UpdateRule.PENALTY_EXACT:
-        probe = _with(blocks, i, xbar)
-        lin, weight = _linearization(p, rule, i, probe, dual_vec, beta, kappa)
         f_bar = p.separable_value(i, xbar)
-        at_bar = lagrangian_from_parts(f_bar, p.coupling_value(probe), dual_vec, beta)
+        at_bar = lagrangian_from_parts(
+            f_bar, p.coupling_value(_with(blocks, i, xbar)), dual_vec, beta)
         at_new = lagrangian_from_parts(f_new, h_new, dual_vec, beta)
     else:
-        weight = _weight_scale(rule, beta) * kappa
-        lin = -(weight * step + chi)
         at_bar, at_new = p.separable_value(i, xbar), f_new
     prox = 0.5 * weight * vdot(step, step)
     at_new += vdot(lin, step) + prox
@@ -720,7 +706,7 @@ def run(
         extras: dict[str, float] = {}
         t_cur = nesterov_t_next(state.t_prev) if use_nesterov else 1.0
         # the sweep reads no h(x) of the previous state, which goes before the
-        # sweep takes h at its new blocks (at full)
+        # sweep takes h at its new blocks (at full, or under penalty_exact)
         state, h_new = dataclasses.replace(state, coupling_cur=None), None
         blocks, sweep, h_new, f_x, fx = _sweep(
             p, cfg, rule, check, plan, it, state, f_x, t_cur, by, g_y, trace[-1].aug_lagrangian,
@@ -787,22 +773,24 @@ def _sweep(
     inequality, from ``al_before`` (the recorded Lagrangian at ``state``),
     with ``g_y`` = G(y) and ``by`` = B y fixed during the sweep, and
     ``extras["al_after_x"]`` is left at the Lagrangian after the sweep.
-    h is taken once at each post-update block point where a check needs it
-    (at ``full``, or under penalty_exact at ``cheap``); the last one is the
-    returned h(x_new).  ``f_x`` holds f_i at the blocks of ``state``; from
-    ``cheap`` on, each block's certificate takes f_i at its new block, which
-    the descent checks and the x part of the objective read, so f_i is not
-    evaluated again.  F is evaluated at each point where that x part is
-    formed: after each block at ``full``, else once at x_new.  Returns the
-    new blocks, one (step, lip, kappa, alpha, eta, chi) per block, h(x_new),
-    f_i at the new blocks (None at ``off``, where no certificate takes them)
-    and the x part of the objective at x_new.
+    Each step hands its lin and weight to the certificate.  h is taken once
+    at each post-update block point that needs it: under penalty_exact the
+    step takes it at every level, under the linearized rules the sweep takes
+    it after each block at ``full`` and once at x_new otherwise; the last
+    one is the returned h(x_new).  ``f_x`` holds f_i at the blocks of
+    ``state``; from ``cheap`` on, each block's certificate takes f_i at its
+    new block, which the descent checks and the x part of the objective
+    read, so f_i is not evaluated again.  F is evaluated at each point where
+    that x part is formed: after each block at ``full``, else once at x_new.
+    Returns the new blocks, one (step, lip, kappa, alpha, eta, chi) per
+    block, h(x_new), f_i at the new blocks (None at ``off``, where no
+    certificate takes them) and the x part of the objective at x_new.
     """
     beta, nu, omega = cfg.beta, float(cfg.nu), state.omega
     checked, full = check is not CheckLevel.OFF, check is CheckLevel.FULL
     blocks, dx = list(state.x), state.dx
     dual_vec = omega + beta * by
-    sweep, h_new = [], None
+    sweep = []
     f_x = list(f_x) if checked else None
     for i, (exact, convex) in enumerate(plan):
         lip = _block_modulus(p, rule, beta, i, blocks)
@@ -815,17 +803,18 @@ def _sweep(
         )
         xbar = blocks[i] + alpha * dx[i]
 
-        x_new, chi = update_block(p, rule, i, blocks, xbar, dual_vec, beta, kappa)
+        x_new, chi, lin, weight, h_new = update_block(
+            p, rule, i, blocks, xbar, dual_vec, beta, kappa)
         step = x_new - blocks[i]
         blocks[i] = x_new
         eta, gamma = _descent_coefficients(rule, exact, beta, nu, lip, kappa, alpha)
         sweep.append((step, lip, kappa, alpha, eta, chi))
 
-        if full or (checked and rule is UpdateRule.PENALTY_EXACT):
+        if h_new is None and full:
             h_new = p.coupling_value(blocks)
         if checked:
             gap, f_x[i] = _check_block_optimality(
-                p, rule, i, blocks, xbar, chi, dual_vec, beta, kappa, convex, h_new,
+                p, rule, i, blocks, xbar, chi, lin, weight, dual_vec, beta, convex, h_new,
                 f"iteration {it}, block {i}: subproblem optimality",
             )
             extras["block_opt_rel"] = max(extras.get("block_opt_rel", gap), gap)

@@ -125,7 +125,7 @@ def test_criterion_3_closed_forms_match_engine():
         dual_vec = omega + beta * (-w)
 
         lip_u = logmf.gram_spectral_norm(v)
-        got_u, _ = update_block(
+        got_u, _, _, _, _ = update_block(
             problem, UpdateRule.PENALTY_LINEARIZED, 0, [u, v], u_ex, dual_vec,
             beta, lip_u,
         )
@@ -133,7 +133,7 @@ def test_criterion_3_closed_forms_match_engine():
         worst = max(worst, _rel_gap(got_u, want_u))
 
         lip_v = logmf.gram_spectral_norm(got_u)
-        got_v, _ = update_block(
+        got_v, _, _, _, _ = update_block(
             problem, UpdateRule.PENALTY_LINEARIZED, 1, [got_u, v], v_ex, dual_vec,
             beta, lip_v,
         )

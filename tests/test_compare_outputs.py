@@ -31,7 +31,7 @@ def test_difference_and_missing_file_fail(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"only in {a}: runs_manifest.json",
         "differs: trace_a.csv",
-        "  objective: largest relative difference 0.167",
+        "  objective: largest relative difference 0.167, absolute 0.25",
         "2 files compared, 2 differences",
     ]
 
@@ -49,12 +49,28 @@ def test_differing_trace_names_only_the_column_that_moved(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "differs: plot_iters_10x8.csv",
         "differs: trace_a.csv",
-        "  lyapunov: largest relative difference 1e-13",
+        "  lyapunov: largest relative difference 1e-13, absolute 3e-13",
         "2 files compared, 2 differences",
     ]
     (b / "trace_a.csv").write_text(head + "0,0.3,4,0.5,nan\n")
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert "  header or row count differs" in capsys.readouterr().out.splitlines()
+
+
+def test_near_zero_column_shows_its_absolute_difference(tmp_path, capsys):
+    # a shortfall near 0 moves far in relative terms by an absolute 1e-16
+    head = "k,time_s,block_opt_rel\n"
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    (a / "trace_a.csv").write_text(head + "0,0.1,-1e-9\n1,0.2,0\n")
+    (b / "trace_a.csv").write_text(head + "0,0.1,-1.0000001e-9\n1,0.2,0\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: trace_a.csv",
+        "  block_opt_rel: largest relative difference 1e-07, absolute 1e-16",
+        "1 files compared, 1 differences",
+    ]
 
 
 def test_needs_two_directories(tmp_path):

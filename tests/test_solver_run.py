@@ -29,7 +29,7 @@ from iadmm.solver import (
     write_trace_csv,
 )
 
-from toys import kkt_solution, quadratic_toy, toy_problem
+from toys import kkt_solution, quadratic_toy, toy_problem, two_block_exact_problem
 
 
 def small_logmf(m=10, n=8, rank=3, seed=21, **inst_kw):
@@ -85,6 +85,18 @@ class TestClassicalMultiplierConvergence:
         np.testing.assert_allclose(res.x[0], x_star, atol=1e-5)
         np.testing.assert_allclose(res.y, y_star, atol=1e-5)
         np.testing.assert_allclose(res.omega, w_star, atol=1e-5)
+
+    @pytest.mark.parametrize("check_level", ["off", "cheap", "full"])
+    def test_two_block_penalty_exact_reaches_kkt_point(self, check_level):
+        a_mat, a, b = quadratic_toy()
+        x_star, y_star, w_star = kkt_solution(a_mat, a, b)
+        p = two_block_exact_problem(a_mat, a, b)
+        cfg = SolverConfig(beta=10.0, tau1=1.0, tau2=1.0, update_rule="penalty_exact",
+                           max_iters=3000, check_level=check_level)
+        res = run(p, cfg, [np.zeros(2), np.zeros(2)])
+        np.testing.assert_allclose(np.concatenate(res.x), x_star, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.y, y_star, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.omega, w_star, rtol=0, atol=1e-12)
 
     def test_iterate_gaps_vanish(self):
         a_mat, a, b = quadratic_toy()
@@ -514,6 +526,9 @@ class TestPhases:
 
 class TestOracleCalls:
     N = 20
+    TOY_ORACLES = ("coupling_value", "coupling_jac_t", "smooth_grad_block",
+                   "block_smooth_lipschitz", "block_penalty_lipschitz", "separable_prox",
+                   "coupled_prox", "separable_value")
 
     def _counted_run(self, check_level):
         """Oracle and ``lin_map.apply`` calls of an N-iteration run."""
@@ -604,14 +619,18 @@ class TestOracleCalls:
             "lin_map.apply": 2 * n + 2,
         }
 
-    # per iteration on the one-block toy: both rules take h and J^T once for
-    # the subproblem's gradient, h once for the y step, and J^T and grad F
-    # once for the record; at off, f once for the objective after the y step.
-    # cheap's certificate takes f at the new block, the extrapolated block and
-    # the prox center, and the objective reads its value at the new block;
-    # penalty_exact's certificate also takes grad F and h at the extrapolated
-    # block, and h at the new block, which the y step reuses.  full's descent
-    # check reads the certificate's f and h at the new block
+    # per iteration on the one-block toy: J^T and grad F once for the record.
+    # fully_linearized's step takes h, J^T and grad F at the extrapolated
+    # block, and the sweep takes h once at the new block for the y step.
+    # penalty_exact's step takes grad F at the extrapolated block, and h and
+    # J^T at the new block for its first-order condition; that h serves the
+    # certificate, the descent check and the y step.  At off, f once for the
+    # objective after the y step.  cheap's certificate takes f at the new
+    # block, the extrapolated block and the prox center, and the objective
+    # reads its value at the new block; it reads the step's lin and weight,
+    # so it calls no gradient oracle, and under penalty_exact it also takes h
+    # at the extrapolated block.  full's descent check reads the
+    # certificate's f and the h at the new block
     @pytest.mark.parametrize("rule,check_level,per_iter", [
         ("fully_linearized", "off", dict(coupling_value=2, coupling_jac_t=2,
                                          smooth_grad_block=2, block_smooth_lipschitz=1,
@@ -621,14 +640,14 @@ class TestOracleCalls:
                                            smooth_grad_block=2, block_smooth_lipschitz=1,
                                            block_penalty_lipschitz=1, separable_prox=1,
                                            separable_value=3)),
-        ("penalty_exact", "off", dict(coupling_value=2, coupling_jac_t=2,
+        ("penalty_exact", "off", dict(coupling_value=1, coupling_jac_t=2,
                                       smooth_grad_block=2, block_smooth_lipschitz=1,
                                       coupled_prox=1, separable_value=1)),
-        ("penalty_exact", "cheap", dict(coupling_value=3, coupling_jac_t=2,
-                                        smooth_grad_block=3, block_smooth_lipschitz=1,
+        ("penalty_exact", "cheap", dict(coupling_value=2, coupling_jac_t=2,
+                                        smooth_grad_block=2, block_smooth_lipschitz=1,
                                         coupled_prox=1, separable_value=3)),
-        ("penalty_exact", "full", dict(coupling_value=3, coupling_jac_t=2,
-                                       smooth_grad_block=3, block_smooth_lipschitz=1,
+        ("penalty_exact", "full", dict(coupling_value=2, coupling_jac_t=2,
+                                       smooth_grad_block=2, block_smooth_lipschitz=1,
                                        coupled_prox=1, separable_value=3)),
         ("fully_linearized", "full", dict(coupling_value=2, coupling_jac_t=2,
                                           smooth_grad_block=2, block_smooth_lipschitz=1,
@@ -637,10 +656,27 @@ class TestOracleCalls:
     ])
     def test_toy_calls_per_run_by_rule(self, rule, check_level, per_iter):
         p = toy_problem(*quadratic_toy(), rule=rule)
-        names = ("coupling_value", "coupling_jac_t", "smooth_grad_block",
-                 "block_smooth_lipschitz", "block_penalty_lipschitz", "separable_prox",
-                 "coupled_prox", "separable_value")
-        counts = dict.fromkeys(names, 0)
+        counts = self._counted_toy_run(p, rule, check_level, [np.zeros(4)])
+        expected = {name: self.N * per_iter.get(name, 0) for name in self.TOY_ORACLES}
+        expected["coupling_value"] += 1  # h(x0)
+        expected["separable_value"] += 1  # the objective at x0
+        assert counts == expected
+
+    # per iteration on the two-block penalty_exact toy: each step takes grad F
+    # at its extrapolated block and h at its new blocks, and the record takes
+    # grad F once per block; cheap's certificates add h at each extrapolated
+    # block, and full's descent checks read the steps' h
+    @pytest.mark.parametrize("check_level,h_calls", [("off", 2), ("cheap", 4), ("full", 4)])
+    def test_two_block_penalty_exact_calls(self, check_level, h_calls):
+        p = two_block_exact_problem(*quadratic_toy())
+        counts = self._counted_toy_run(
+            p, "penalty_exact", check_level, [np.zeros(2), np.zeros(2)])
+        assert counts["coupling_value"] == self.N * h_calls + 1  # and h(x0)
+        assert counts["smooth_grad_block"] == self.N * 4
+
+    def _counted_toy_run(self, p, rule, check_level, x0):
+        """Calls of each toy oracle in an N-iteration run."""
+        counts = dict.fromkeys(self.TOY_ORACLES, 0)
 
         def counted(fn, name):
             def wrapper(*args):
@@ -650,15 +686,13 @@ class TestOracleCalls:
             return wrapper
 
         p = dataclasses.replace(p, **{
-            name: counted(getattr(p, name), name) for name in names if getattr(p, name)
+            name: counted(getattr(p, name), name)
+            for name in self.TOY_ORACLES if getattr(p, name)
         })
         cfg = SolverConfig(beta=10.0, tau1=0.5, tau2=0.5, update_rule=rule,
                            max_iters=self.N, check_level=check_level)
-        run(p, cfg, [np.zeros(4)])
-        expected = {name: self.N * per_iter.get(name, 0) for name in names}
-        expected["coupling_value"] += 1  # h(x0)
-        expected["separable_value"] += 1  # the objective at x0
-        assert counts == expected
+        run(p, cfg, x0)
+        return counts
 
     def test_toy_smooth_value_once_per_visited_point_at_full(self):
         # F is taken once at x0 and once per iteration at the new block: the

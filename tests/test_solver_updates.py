@@ -99,7 +99,7 @@ class TestUpdateBlock:
         blocks = [np.array([[0.0]]), np.array([[1.0]])]
         xbar = np.array([[0.0]])
         dual_vec = np.array([[1.0]]) + 1.0 * (-np.array([[0.0]]))  # omega + beta*B W
-        x_new, chi = update_block(
+        x_new, chi, _, _, _ = update_block(
             p, UpdateRule.PENALTY_LINEARIZED, 0, blocks, xbar, dual_vec, beta=1.0, kappa=1.0
         )
         assert x_new[0, 0] == pytest.approx(-0.5, abs=1e-15)
@@ -116,7 +116,7 @@ class TestUpdateBlock:
         dual_vec = w_star + 2.0 * (-y_star)
         lip = float(np.linalg.eigvalsh(a_mat.T @ a_mat)[-1])
         # at the stationary point with feasibility, h(x*) = y*
-        x_new, _ = update_block(
+        x_new, _, _, _, _ = update_block(
             p, UpdateRule.PENALTY_LINEARIZED, 0, [x_star], x_star, dual_vec, 2.0, lip
         )
         np.testing.assert_allclose(x_new, x_star, atol=1e-12)
@@ -143,13 +143,13 @@ class TestUpdateBlock:
             coupled_prox=coupled_prox,
         )
         xbar = np.array([2.0])
-        x_new, _ = update_block(
+        x_new, _, _, _, _ = update_block(
             p, UpdateRule.PENALTY_EXACT, 0, [xbar.copy()], xbar,
             np.zeros(n), beta=1.0, kappa=1.0,
         )
         # xbar - grad(xbar)/kappa = 2 - 2/1
         assert x_new[0] == pytest.approx(0.0, abs=1e-15)
-        x_new2, _ = update_block(
+        x_new2, _, _, _, _ = update_block(
             p, UpdateRule.PENALTY_EXACT, 0, [xbar.copy()], xbar,
             np.zeros(n), beta=1.0, kappa=2.0,
         )
@@ -167,11 +167,34 @@ class TestUpdateBlock:
         lip = float(np.linalg.eigvalsh(a_mat.T @ a_mat)[-1])
         kappa = 1.0 + beta * lip
         dual_vec = omega + beta * (-y)
-        x_new, _ = update_block(
+        x_new, _, _, _, _ = update_block(
             p, UpdateRule.FULLY_LINEARIZED, 0, [x], xbar, dual_vec, beta, kappa
         )
         grad = (xbar - a) + a_mat.T @ (dual_vec + beta * (a_mat @ xbar))
         np.testing.assert_allclose(x_new, xbar - grad / kappa, atol=1e-12)
+
+    @pytest.mark.parametrize("rule", list(UpdateRule))
+    def test_hands_over_lin_weight_and_h(self, rule):
+        # the certificate and the sweep read these instead of forming them again
+        a_mat, a, b = quadratic_toy()
+        p = toy_problem(a_mat, a, b, rule=rule.value)
+        rng = np.random.default_rng(9)
+        x, xbar, dual_vec = (rng.standard_normal(4) for _ in range(3))
+        beta, kappa = 2.0, 3.7
+        x_new, chi, lin, weight, h_new = update_block(p, rule, 0, [x], xbar, dual_vec, beta, kappa)
+        scale = beta if rule is UpdateRule.PENALTY_LINEARIZED else 1.0
+        assert weight == scale * kappa
+        grad_f = xbar - a
+        if rule is UpdateRule.PENALTY_EXACT:
+            np.testing.assert_allclose(lin, grad_f, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(h_new, p.coupling_value([x_new]))
+        else:
+            grad = a_mat.T @ (dual_vec + beta * (a_mat @ xbar))
+            if rule is UpdateRule.FULLY_LINEARIZED:
+                grad = grad + grad_f
+            np.testing.assert_allclose(lin, grad, rtol=1e-14)
+            np.testing.assert_array_equal(chi, weight * (xbar - lin / weight - x_new))
+            assert h_new is None
 
 
 class TestUpdateY:

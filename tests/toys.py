@@ -69,3 +69,42 @@ def toy_problem(a_mat, a, b, rule="penalty_linearized"):
 
         kwargs["coupled_prox"] = coupled_prox
     return ProblemSpec(**kwargs)
+
+
+def two_block_exact_problem(a_mat, a, b, split=2):
+    """The toy under penalty_exact with x cut into two column blocks.
+
+    x[:split] is block 0 and x[split:] block 1; h = A_0 x_0 + A_1 x_1 and F
+    is the toy's 1/2 ||x - a||^2.  ``coupled_prox`` solves each block's
+    subproblem exactly with the other block fixed.
+    """
+    cols = (slice(0, split), slice(split, a_mat.shape[1]))
+    parts = [a_mat[:, c] for c in cols]
+    anchors = [a[c] for c in cols]
+    lips = [float(np.linalg.eigvalsh(m.T @ m)[-1]) for m in parts]
+
+    def coupling_value(blocks):
+        return parts[0] @ blocks[0] + parts[1] @ blocks[1]
+
+    def coupled_prox(i, blocks, v, beta, g, weight, anchor):
+        a_i = parts[i]
+        rest = parts[1 - i] @ blocks[1 - i]
+        h = beta * (a_i.T @ a_i) + weight * np.eye(a_i.shape[1])
+        return np.linalg.solve(h, weight * anchor - a_i.T @ (v + beta * rest) - g)
+
+    return ProblemSpec(
+        block_shapes=tuple((m.shape[1],) for m in parts),
+        lin_map=ScaledIdentity(-1.0, (a_mat.shape[0],)),
+        coupling_value=coupling_value,
+        coupling_jac_t=lambda i, blocks, r: parts[i].T @ r,
+        block_penalty_lipschitz=lambda i, blocks: lips[i],
+        y_value=lambda y: 0.5 * float(np.sum((y - b) ** 2)),
+        y_grad=lambda y: y - b,
+        y_grad_lipschitz=1.0,
+        smooth_value=lambda blocks: 0.5 * float(
+            sum(np.sum((x - c) ** 2) for x, c in zip(blocks, anchors))),
+        smooth_grad_block=lambda i, blocks: blocks[i] - anchors[i],
+        block_smooth_lipschitz=lambda i, blocks: 1.0,
+        coupled_prox=coupled_prox,
+        block_traits=lambda i: BlockTraits(True, True, True),
+    )
