@@ -20,7 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bench import load_config, read_manifest, run_experiment, summarize
+from .bench import _atomic_write_text, load_config, read_manifest, run_experiment, summarize
 from .core import ConfigError
 from .diagnostics import check_lyapunov_descent, check_theorem1_residual, check_y_decrease
 from .solver import NSDP_RTOL, CheckLevel, SolverConfig, TraceFormatError, read_trace_csv
@@ -128,9 +128,7 @@ def _cmd_check(args) -> int:
         worst = "nan" if math.isnan(report.worst_violation) else f"{report.worst_violation:.3e}"
         print(f"{status:>12s}  {report.name:<24s} worst {worst}  {fname}")
         lines.append(dataclasses.asdict(report) | {"file": fname, "advisory": advisory})
-    (out / "checks.json").write_text(
-        json.dumps(lines, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _atomic_write_text(out / "checks.json", json.dumps(lines, sort_keys=True, indent=2) + "\n")
     return 1 if failed else 0
 
 

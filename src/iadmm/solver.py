@@ -37,10 +37,14 @@ x_new.  F is evaluated after each block at "full", else once at x_new; the
 last block's h and x part of the objective serve the y step and the
 objective after it.  B y is taken once per sweep, and the objective and
 h(x) + B y after the y step, which the trace record reuses; G(y) of that
-objective is carried into the next sweep.  Each check runs inside the
-phase it checks (:func:`_sweep`, :func:`_y_step`, :func:`_multiplier_step`)
-except the y sufficient decrease, which :func:`run` asserts once the point
-after the y step is evaluated.  Violations raise
+objective is carried into the next sweep.  Each squared norm of a step,
+||dx_i||^2, ||dy||^2, ||d omega||^2 and ||B^T d omega||^2, and ||omega||^2
+are taken once, by the phase that forms the array; the descent checks, the
+Lyapunov value and the trace record read the stored values.  Each check
+runs inside the phase it checks (:func:`_sweep`, :func:`_y_step`,
+:func:`_multiplier_step`) except the y sufficient decrease, which
+:func:`run` asserts once the point after the y step is evaluated.
+Violations raise
 :class:`~iadmm.core.InvariantViolation`.
 At every level a run stops with ``stop_reason="nonfinite"`` after a record
 whose objective, augmented Lagrangian or feasibility gap is not finite.
@@ -358,14 +362,19 @@ def _weight_scale(rule: UpdateRule, beta: float) -> float:
 
 @dataclass
 class IterateState:
-    """Current iterates, the steps that produced them, and per-block bookkeeping.
+    """Current iterates, the squared norms of the steps that produced them,
+    and per-block bookkeeping.
 
-    ``x`` is the tuple of block arrays.  ``dx`` (one array per block),
-    ``dy`` and ``domega`` are the steps x - x_prev, y - y_prev and
-    omega - omega_prev of the most recently completed iteration, zero
-    before the first one.  The solver forms each step once, when it accepts
-    the new iterate; the extrapolation, the descent check, the trace record
-    and :func:`lyapunov_value` all read it.
+    ``x`` is the tuple of block arrays and ``dx`` the block steps
+    x - x_prev of the most recently completed iteration, which the next
+    extrapolation reads.  ``dx_sq`` (one per block), ``dy_sq``,
+    ``domega_sq`` and ``bt_domega_sq`` are ||dx_i||^2, ||y - y_prev||^2,
+    ||omega - omega_prev||^2 and ||B^T (omega - omega_prev)||^2 of that
+    iteration, and ``omega_sq`` is ||omega||^2; the steps are zero before
+    the first iteration.  Each is taken once, by the phase that forms the
+    step, and the descent check, the trace record and
+    :func:`lyapunov_value` read it.  A hook that wants the y or omega step
+    can take the difference of two kept states.
     ``lip``/``kappa``/``alpha``/``eta`` hold the values used by the same
     iteration; ``run`` starts ``lip`` and ``kappa`` at None per block, as no
     modulus exists before the first sweep.  ``chi`` stores the separable
@@ -374,22 +383,25 @@ class IterateState:
 
     ``run`` builds one state per accepted iterate and never changes it
     afterwards, so a metric hook may keep the state it is given.  A kept
-    state keeps its five iterate-sized arrays (``y``, ``dy``, ``omega``,
-    ``domega``, ``coupling_cur``) alive.  Each phase of an iteration frees
-    its own temporaries when it returns, and ``run`` drops the previous
+    state keeps its three iterate-sized arrays (``y``, ``omega``,
+    ``coupling_cur``) alive.  Each phase of an iteration frees its own
+    temporaries when it returns, and ``run`` drops the previous
     ``coupling_cur`` before the sweep and the rest of the previous state
     before the y step: on logmf at 400 x 300, rank 10, with the
-    ``model_objective`` hook, a run peaks at 10.3 arrays of the m x n
-    constraint shape above its start at every ``check_level``, in the y
-    step.
+    ``model_objective`` hook, a run peaks at 8.3 arrays of the m x n
+    constraint shape above its start at ``off`` and 9.3 at ``cheap`` and
+    ``full``.
     """
 
     x: tuple
     dx: list
     y: Array
-    dy: Array
     omega: Array
-    domega: Array
+    dx_sq: list
+    dy_sq: float
+    domega_sq: float
+    bt_domega_sq: float
+    omega_sq: float
     k: int = 0
     t_prev: float = 1.0
     lip: list = field(default_factory=list)
@@ -465,18 +477,17 @@ def lyapunov_value(
     ``al`` is the augmented Lagrangian at the current iterate; the value
     subtracts the multiplier-norm correction (1 - tau1) / (2 tau2 beta)
     ||omega||^2 and adds the carry-over terms b1 * eta_i ||dx_i||^2,
-    c1 ||B^T domega||^2 and b2 c3 ||dy||^2, reading the steps stored in
-    ``state``.  Defined only once a full iteration has run (k >= 1).
+    c1 ||B^T domega||^2 and b2 c3 ||dy||^2, reading the squared norms
+    stored in ``state``.  Defined only once a full iteration has run (k >= 1).
     """
     if state.k < 1:
         raise ConfigError("compound descent value is undefined before the first iteration")
     beta, tau1, tau2 = cfg.beta, cfg.tau1, cfg.tau2
-    value = al - (1.0 - tau1) / (2.0 * tau2 * beta) * vdot(state.omega, state.omega)
+    value = al - (1.0 - tau1) / (2.0 * tau2 * beta) * state.omega_sq
     for i in range(p.s):
-        value += cfg.b1 * state.eta[i] * vdot(state.dx[i], state.dx[i])
-    domega_t = p.lin_map.apply_t(state.domega)
-    value += consts.c1 * vdot(domega_t, domega_t)
-    value += cfg.b2 * consts.c3 * vdot(state.dy, state.dy)
+        value += cfg.b1 * state.eta[i] * state.dx_sq[i]
+    value += consts.c1 * state.bt_domega_sq
+    value += cfg.b2 * consts.c3 * state.dy_sq
     return float(value)
 
 
@@ -712,24 +723,23 @@ def run(
             p, cfg, rule, check, plan, it, state, f_x, t_cur, by, g_y, trace[-1].aug_lagrangian,
             extras,
         )
-        # the previous x and dx go before the y step, where the run peaks; the
-        # previous dy and domega go when their successors are bound
+        # the previous state goes before the y step, where the run peaks
         y, omega = state.y, state.omega
         del state
-        y, dy = _y_step(p, cfg.beta, it, y, grad_y, omega, h_new, check, extras)
+        y, dy_sq = _y_step(p, cfg.beta, it, y, grad_y, omega, h_new, check, extras)
         del grad_y
         # G(y) is carried into the next sweep's descent checks, B y into its dual_vec
         g_y, obj, by, residual = _evaluate(p, y, h_new, fx)
         if check is CheckLevel.FULL:
             al_x = extras["al_after_x"]
             al_y = extras["al_after_y"] = lagrangian_from_parts(obj, residual, omega, cfg.beta)
-            _check_descent(al_y + 0.5 * consts.delta * vdot(dy, dy), al_x, al_x,
+            _check_descent(al_y + 0.5 * consts.delta * dy_sq, al_x, al_x,
                            f"iteration {it}: y sufficient decrease")
-        omega, domega = _multiplier_step(cfg, it, omega, residual, check, extras)
+        omega, *omega_sqs = _multiplier_step(p, cfg, it, omega, residual, check, extras)
 
-        dx, lips, kappas, alphas, etas, chis = map(list, zip(*sweep))
+        dx, dx_sq, lips, kappas, alphas, etas, chis = map(list, zip(*sweep))
         state = IterateState(
-            x=tuple(blocks), dx=dx, y=y, dy=dy, omega=omega, domega=domega, k=it + 1, t_prev=t_cur,
+            tuple(blocks), dx, y, omega, dx_sq, dy_sq, *omega_sqs, k=it + 1, t_prev=t_cur,
             lip=lips, kappa=kappas, alpha=alphas, eta=etas, chi=chis, coupling_cur=h_new,
         )
         record, res, grad_y = _record(p, cfg, consts, state, obj, residual, start, extra_metrics)
@@ -782,9 +792,11 @@ def _sweep(
     new block, which the descent checks and the x part of the objective
     read, so f_i is not evaluated again.  F is evaluated at each point where
     that x part is formed: after each block at ``full``, else once at x_new.
-    Returns the new blocks, one (step, lip, kappa, alpha, eta, chi) per
-    block, h(x_new), f_i at the new blocks (None at ``off``, where no
-    certificate takes them) and the x part of the objective at x_new.
+    Each block's ||step||^2 is taken once, here; the descent inequality
+    reads the previous one from ``state``.  Returns the new blocks, one
+    (step, ||step||^2, lip, kappa, alpha, eta, chi) per block, h(x_new),
+    f_i at the new blocks (None at ``off``, where no certificate takes
+    them) and the x part of the objective at x_new.
     """
     beta, nu, omega = cfg.beta, float(cfg.nu), state.omega
     checked, full = check is not CheckLevel.OFF, check is CheckLevel.FULL
@@ -806,9 +818,10 @@ def _sweep(
         x_new, chi, lin, weight, h_new = update_block(
             p, rule, i, blocks, xbar, dual_vec, beta, kappa)
         step = x_new - blocks[i]
+        step_sq = vdot(step, step)
         blocks[i] = x_new
         eta, gamma = _descent_coefficients(rule, exact, beta, nu, lip, kappa, alpha)
-        sweep.append((step, lip, kappa, alpha, eta, chi))
+        sweep.append((step, step_sq, lip, kappa, alpha, eta, chi))
 
         if h_new is None and full:
             h_new = p.coupling_value(blocks)
@@ -824,7 +837,7 @@ def _sweep(
                 objective_from_parts(fx, g_y), h_new + by, omega, beta
             )
             _check_descent(
-                al_after + eta * vdot(step, step), al_before + gamma * vdot(dx[i], dx[i]),
+                al_after + eta * step_sq, al_before + gamma * state.dx_sq[i],
                 al_before, f"iteration {it}, block {i}: descent inequality",
             )
             al_before = extras["al_after_x"] = al_after
@@ -838,8 +851,8 @@ def _sweep(
 def _y_step(
     p: ProblemSpec, beta: float, it: int, y: Array, grad_y: Array, omega: Array, h_new: Array,
     check: CheckLevel, extras: dict,
-) -> tuple[Array, Array]:
-    """The y step of iteration ``it``; returns (y_new, y_new - y).
+) -> tuple[Array, float]:
+    """The y step of iteration ``it``; returns (y_new, ||y_new - y||^2).
 
     ``grad_y`` is the gradient of G at ``y``, taken by the record of ``y``.
     From ``cheap`` on, the step's normal equations are checked with B and
@@ -852,16 +865,20 @@ def _y_step(
             extras, "y_opt_rel", *y_optimality_residual(p, beta, y, grad_y, omega, h_new, y_new),
             Y_OPTIMALITY_RTOL, f"iteration {it}: y-step optimality",
         )
-    return y_new, y_new - y
+    dy = y_new - y
+    return y_new, vdot(dy, dy)
 
 
 def _multiplier_step(
-    cfg: SolverConfig, it: int, omega: Array, residual: Array, check: CheckLevel, extras: dict
-) -> tuple[Array, Array]:
-    """The scaled multiplier step of iteration ``it``; returns (omega_new, omega_new - omega).
+    p: ProblemSpec, cfg: SolverConfig, it: int, omega: Array, residual: Array, check: CheckLevel,
+    extras: dict,
+) -> tuple[Array, float, float, float]:
+    """The scaled multiplier step of iteration ``it``.
 
-    ``residual`` is h(x_new) + B y_new.  From ``cheap`` on, the residual is
-    recovered from omega_new and must match it.
+    Returns omega_new and, in :class:`IterateState`'s field order,
+    ||d omega||^2, ||B^T d omega||^2 and ||omega_new||^2, with d omega =
+    omega_new - omega.  ``residual`` is h(x_new) + B y_new.  From ``cheap``
+    on, the residual is recovered from omega_new and must match it.
     """
     beta, tau1, tau2 = cfg.beta, cfg.tau1, cfg.tau2
     omega_new = update_multiplier(beta, tau1, tau2, omega, residual)
@@ -871,13 +888,14 @@ def _multiplier_step(
             extras, "mult_identity_rel", norm(implied - residual), 1.0 + norm(implied),
             MULTIPLIER_IDENTITY_RTOL, f"iteration {it}: multiplier identity",
         )
-    return omega_new, omega_new - omega
+    domega = omega_new - omega
+    return omega_new, *(vdot(a, a) for a in (domega, p.lin_map.apply_t(domega), omega_new))
 
 
 def _start_state(
     p: ProblemSpec, x0: Sequence[Array], y0: Optional[Array], omega0: Optional[Array]
 ) -> IterateState:
-    """The state at k = 0: the checked starting point, zero steps and h(x0).
+    """The state at k = 0: the checked starting point, zero steps, ||omega0||^2 and h(x0).
 
     The finiteness check runs before any oracle, because a NaN start otherwise
     surfaces as an unrelated error from deep inside one (e.g. an eigensolver
@@ -900,8 +918,9 @@ def _start_state(
         y = _feasible_y(p, h0)
         p.check_y(y)
     return IterateState(
-        x=x, dx=[np.zeros_like(b) for b in x], y=y, dy=np.zeros_like(y), coupling_cur=h0,
-        omega=omega, domega=np.zeros_like(omega), lip=[None] * p.s, kappa=[None] * p.s,
+        x=x, dx=[np.zeros_like(b) for b in x], y=y, omega=omega, dx_sq=[0.0] * p.s, dy_sq=0.0,
+        domega_sq=0.0, bt_domega_sq=0.0, omega_sq=vdot(omega, omega), coupling_cur=h0,
+        lip=[None] * p.s, kappa=[None] * p.s,
     )
 
 
@@ -951,12 +970,12 @@ def _record(
         feas=res.feas,
         stat_x_max=res.stat_x_max,
         stat_y=res.stat_y,
-        dx=math.sqrt(sum(vdot(d, d) for d in state.dx)),
-        dy=norm(state.dy),
-        domega=norm(state.domega),
+        dx=math.sqrt(sum(state.dx_sq)),
+        dy=math.sqrt(state.dy_sq),
+        domega=math.sqrt(state.domega_sq),
         alpha=tuple(state.alpha),
         eta=tuple(state.eta),
-        extras={"omega_norm": norm(state.omega)},
+        extras={"omega_norm": math.sqrt(state.omega_sq)},
     )
     if extra_metrics:
         for name, fn in extra_metrics.items():

@@ -589,6 +589,25 @@ class TestCli:
             ("theorem1_residual", "inconclusive", None, False),
         ] * 2
 
+    def test_interrupted_check_leaves_the_previous_checks_json(self, tmp_path, monkeypatch):
+        row = "0,0,1,1,nan,1,1,1,0,0,0"
+        (tmp_path / "a.csv").write_text(",".join(TRACE_COLUMNS) + "\n" + row + "\n")
+        run_meta = {"algorithm": "iadmm(0.1,0.1)", "file": "a.csv", "delta": 1.0,
+                    "beta": 1.0, "tau1": 0.1, "tau2": 0.1, "gate_warnings": []}
+        manifest = {"config": {"b1": 0.5, "tolerance": 0.0}, "runs": [run_meta]}
+        (tmp_path / "runs_manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "checks.json").write_text("previous\n")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["check", "--out", str(tmp_path)])
+        assert (tmp_path / "checks.json").read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.csv", "checks.json", "runs_manifest.json"]
+
     def test_jobs_below_one_is_a_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"sizes": [[8, 6]], "rank": 2, "datasets_per_size": 1,

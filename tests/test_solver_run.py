@@ -165,12 +165,12 @@ class TestWorkingSet:
         return (peak - base) / (cls.M * cls.N * 8)
 
     @pytest.mark.parametrize("check_level", ["off", "cheap", "full"])
-    def test_run_holds_at_most_11_arrays(self, check_level):
+    def test_run_holds_at_most_10_arrays(self, check_level):
         inst, p, u0, v0 = small_logmf(self.M, self.N, self.RANK)
         cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=self.ITERS,
                            check_level=check_level)
         hook = {"model_objective": logmf.model_objective_metric(inst)}
-        assert self._peak(lambda: run(p, cfg, [u0, v0], extra_metrics=hook)) <= 11.0
+        assert self._peak(lambda: run(p, cfg, [u0, v0], extra_metrics=hook)) <= 10.0
 
     def test_gd_run_holds_at_most_3_6_arrays(self):
         inst, _, u0, v0 = small_logmf(self.M, self.N, self.RANK)
@@ -198,8 +198,7 @@ class TestRunInvariants:
         kept = []
 
         def arrays(state):
-            return [*state.x, *state.dx, state.y, state.dy, state.omega, state.domega,
-                    *state.chi, state.coupling_cur]
+            return [*state.x, *state.dx, state.y, state.omega, *state.chi, state.coupling_cur]
 
         def keep(state):
             kept.append((state, [a.copy() for a in arrays(state)]))
@@ -213,6 +212,23 @@ class TestRunInvariants:
                 assert held.tobytes() == copy.tobytes()
         for held, copy in zip(starts, start_copies):
             assert held.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("check_level", ["off", "cheap", "full"])
+    def test_record_step_columns_match_the_iterates(self, check_level):
+        # the record reads the squared norms its phases took when they formed
+        # each step; they must be the norms of the differences of kept states
+        _, p, u0, v0 = small_logmf()
+        kept = []
+        cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=6, check_level=check_level)
+        res = run(p, cfg, [u0, v0], extra_metrics={"keep": lambda s: kept.append(s) or 0.0})
+        assert (res.trace[0].dx, res.trace[0].dy, res.trace[0].domega) == (0.0, 0.0, 0.0)
+        for rec, prev, cur in zip(res.trace[1:], kept[:-1], kept[1:], strict=True):
+            dx = [a - b for a, b in zip(cur.x, prev.x, strict=True)]
+            assert rec.dx == math.sqrt(sum(np.vdot(d, d) for d in dx))
+            assert rec.dy == np.linalg.norm(cur.y - prev.y)
+            assert rec.domega == np.linalg.norm(cur.omega - prev.omega)
+        for rec, state in zip(res.trace, kept, strict=True):
+            assert rec.extras["omega_norm"] == np.linalg.norm(state.omega)
 
     def test_multiplier_identity_along_trace(self):
         # omega^k = tau1 omega^{k-1} + tau2 beta (h(x^k) + B y^k) for every k >= 1,
@@ -325,11 +341,16 @@ class TestRunInvariants:
         prev = run(p, cfg_prev, [u0, v0])
         cont = run(p, SolverConfig(beta=4.0, tau1=0.3, tau2=0.45, b2=0.9, max_iters=1),
                    prev.x, prev.y, prev.omega)
-        # the one-step continuation reproduces iteration 9's lyapunov column
+        # the one-step continuation reproduces iteration 9's lyapunov column;
+        # the steps' squared norms are taken here, independently of the solver
+        dx = [a - b for a, b in zip(cont.x, prev.x)]
+        dy, domega = cont.y - prev.y, cont.omega - prev.omega
+        bt_domega = p.lin_map.apply_t(domega)
         state = IterateState(
-            x=cont.x, dx=[a - b for a, b in zip(cont.x, prev.x)],
-            y=cont.y, dy=cont.y - prev.y,
-            omega=cont.omega, domega=cont.omega - prev.omega, k=9,
+            x=cont.x, dx=dx, y=cont.y, omega=cont.omega,
+            dx_sq=[np.vdot(d, d) for d in dx], dy_sq=np.vdot(dy, dy),
+            domega_sq=np.vdot(domega, domega), bt_domega_sq=np.vdot(bt_domega, bt_domega),
+            omega_sq=np.vdot(cont.omega, cont.omega), k=9,
         )
         state.eta = list(cont.trace[1].eta)
         al = augmented_lagrangian(p, state.x, state.y, state.omega, cfg.beta)
@@ -344,9 +365,9 @@ class TestRunInvariants:
         x = (u0, v0)
         w = u0 @ v0
         omega = np.full((10, 8), 0.3)
-        state = IterateState(x=x, dx=[np.zeros_like(b) for b in x], y=w,
-                             dy=np.zeros_like(w), omega=omega,
-                             domega=np.zeros_like(omega), k=1)
+        state = IterateState(x=x, dx=[np.zeros_like(b) for b in x], y=w, omega=omega,
+                             dx_sq=[0.0, 0.0], dy_sq=0.0, domega_sq=0.0, bt_domega_sq=0.0,
+                             omega_sq=np.vdot(omega, omega), k=1)
         state.eta = [1.0, 1.0]
         want = augmented_lagrangian(p, x, w, omega, 2.0)
         assert lyapunov_value(p, cfg, consts, state, want) == pytest.approx(want, rel=1e-14)
@@ -357,8 +378,8 @@ class TestRunInvariants:
         consts = validate_config(cfg, p)
         x = (u0, v0)
         state = IterateState(x=x, dx=[np.zeros_like(b) for b in x], y=u0 @ v0,
-                             dy=np.zeros((10, 8)), omega=np.zeros((10, 8)),
-                             domega=np.zeros((10, 8)))
+                             omega=np.zeros((10, 8)), dx_sq=[0.0, 0.0], dy_sq=0.0,
+                             domega_sq=0.0, bt_domega_sq=0.0, omega_sq=0.0)
         al = augmented_lagrangian(p, x, state.y, state.omega, cfg.beta)
         with pytest.raises(ConfigError):
             lyapunov_value(p, cfg, consts, state, al)
@@ -530,13 +551,14 @@ class TestOracleCalls:
                    "block_smooth_lipschitz", "block_penalty_lipschitz", "separable_prox",
                    "coupled_prox", "separable_value")
 
-    def _counted_run(self, check_level):
-        """Oracle and ``lin_map.apply`` calls of an N-iteration run."""
+    def _counted_run(self, monkeypatch, check_level):
+        """Oracle, ``lin_map.apply`` and ``lin_map.apply_t`` calls of an N-iteration
+        run, and the solver module's own ``vdot`` and ``norm`` reductions."""
         inst, p, u0, v0 = small_logmf()
         counts = dict.fromkeys(
             ("y_grad", "y_value", "coupling_value", "coupling_jac_t",
              "block_penalty_lipschitz", "separable_prox", "separable_value",
-             "lin_map.apply"), 0
+             "lin_map.apply", "lin_map.apply_t", "vdot", "norm"), 0
         )
 
         def counted(fn, name):
@@ -547,20 +569,30 @@ class TestOracleCalls:
             return wrapper
 
         for name in counts:
-            owner, attr = (p.lin_map, "apply") if name == "lin_map.apply" else (p, name)
-            setattr(owner, attr, counted(getattr(owner, attr), name))
+            prefix, _, attr = name.rpartition(".")
+            if attr in ("vdot", "norm"):
+                monkeypatch.setattr(solver, attr, counted(getattr(solver, attr), name))
+            else:
+                owner = p.lin_map if prefix else p
+                setattr(owner, attr, counted(getattr(owner, attr), name))
         cfg = SolverConfig(tau1=0.5, tau2=0.5, b2=0.9, max_iters=self.N,
                            check_level=check_level)
         run(p, cfg, [u0, v0],
             extra_metrics={"model_objective": logmf.model_objective_metric(inst)})
         return counts
 
-    def test_calls_per_run_at_check_off(self):
+    def test_calls_per_run_at_check_off(self, monkeypatch):
         # pins the per-run oracle work: one coupling value per block sweep
         # step, one y gradient per iteration (reused by the next y step),
         # one B y per iteration (shared by the residual and the next sweep),
-        # and f_i of each block once per record
-        counts = self._counted_run("off")
+        # and f_i of each block once per record.  B^T three times per
+        # iteration: the y step's, B^T d omega and the record's stationarity.
+        # Each squared step norm is taken once, by the phase that forms the
+        # step: ||dx_i||^2 of both blocks, ||dy||^2, ||d omega||^2,
+        # ||B^T d omega||^2 and ||omega||^2 (also of omega0); the Lyapunov
+        # value, the record and the descent checks read them.  The three
+        # norms are y0's feasibility fit (two) and the first record's residual
+        counts = self._counted_run(monkeypatch, "off")
         n = self.N
         assert counts == {
             "y_grad": n + 1,
@@ -571,16 +603,21 @@ class TestOracleCalls:
             "separable_prox": 2 * n,
             "separable_value": 2 * n + 2,
             "lin_map.apply": n + 2,
+            "lin_map.apply_t": 3 * n + 1,
+            "vdot": 6 * n + 1,
+            "norm": 3,
         }
 
-    def test_calls_per_run_at_check_cheap(self):
+    def test_calls_per_run_at_check_cheap(self, monkeypatch):
         # per iteration, with 2 blocks: each block's optimality certificate
         # takes f_i at the new block, the extrapolated block and the prox
         # center (6 in all), and the objective after the y step reads the two
         # values at the new blocks instead of evaluating them again; f_i at
-        # x0 is taken once at the start.  B y twice: the record's and the y
-        # check's.  The rest is as at off
-        counts = self._counted_run("cheap")
+        # x0 is taken once at the start.  B y and B^T once more each: the y
+        # check's.  Each certificate takes three inner products (6 in all),
+        # the y check four norms and the multiplier check two.  The rest is
+        # as at off
+        counts = self._counted_run(monkeypatch, "cheap")
         n = self.N
         assert counts == {
             "y_grad": n + 1,
@@ -591,9 +628,12 @@ class TestOracleCalls:
             "separable_prox": 2 * n,
             "separable_value": 6 * n + 2,
             "lin_map.apply": 2 * n + 2,
+            "lin_map.apply_t": 4 * n + 1,
+            "vdot": 12 * n + 1,
+            "norm": 6 * n + 3,
         }
 
-    def test_calls_per_run_at_check_full(self):
+    def test_calls_per_run_at_check_full(self, monkeypatch):
         # the descent checks evaluate each visited point once: B y once per
         # sweep, h once per post-update block point (the last one shared with
         # the y step), and the objective after the y step is shared with the
@@ -605,8 +645,9 @@ class TestOracleCalls:
         # the y step read the certificates' values at the new blocks, and the
         # first block's check reads the second block's value from the last
         # sweep) and B y twice (the record's and the y check's).  The y check
-        # reuses the step's own grad G.
-        counts = self._counted_run("full")
+        # reuses the step's own grad G.  The descent checks read the stored
+        # squared step norms, so the reductions and B^T are as at cheap.
+        counts = self._counted_run(monkeypatch, "full")
         n = self.N
         assert counts == {
             "y_grad": n + 1,
@@ -617,6 +658,9 @@ class TestOracleCalls:
             "separable_prox": 2 * n,
             "separable_value": 6 * n + 2,
             "lin_map.apply": 2 * n + 2,
+            "lin_map.apply_t": 4 * n + 1,
+            "vdot": 12 * n + 1,
+            "norm": 6 * n + 3,
         }
 
     # per iteration on the one-block toy: J^T and grad F once for the record.
